@@ -309,7 +309,10 @@ class EvaluationReport:
     def to_dict(self):
         def scrub(obj):
             if isinstance(obj, np.ndarray):
-                return obj.tolist()
+                return scrub(obj.tolist())
+            if isinstance(obj, (float, np.floating)):
+                # JSON has no NaN or infinity; an undefined statistic is written as null
+                return float(obj) if np.isfinite(obj) else None
             if isinstance(obj, dict):
                 return {k: scrub(v) for k, v in obj.items()}
             if isinstance(obj, (list, tuple)):
@@ -319,7 +322,7 @@ class EvaluationReport:
         return scrub(asdict(self))
 
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
     def to_text(self):
         lines = [

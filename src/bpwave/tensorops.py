@@ -119,17 +119,27 @@ class TransposedConv1d:
     def _crop(self):
         return (self.kernel_size - self.stride) // 2
 
+    def _tap_matrix(self):
+        """(O*K, C) weight matrix whose row o*K + t holds tap t of output channel o."""
+        o, c, k = self.weight.shape
+        return self.weight.transpose(0, 2, 1).reshape(o * k, c)
+
     def forward(self, x, mode="train"):
         _check_activation(x, self.in_channels)
         b, _, length = x.shape
-        k = self.kernel_size
-        full = np.zeros((b, self.out_channels, self.stride * length + k - self.stride))
-        for tap in range(k):
-            full[:, :, tap : tap + self.stride * length : self.stride] += np.einsum(
-                "oc,bcl->bol", self.weight[:, :, tap], x
-            )
-        crop = self._crop()
-        out = full[:, :, crop : crop + self.stride * length] + self.bias[None, :, None]
+        o, k, s = self.out_channels, self.kernel_size, self.stride
+        # tap t = s*p + r of input sample i lands on uncropped output sample s*(i + p) + r
+        taps = (self._tap_matrix() @ x).reshape(b, o, k // s, s, length).transpose(0, 1, 2, 4, 3)
+        if k == s:
+            out = np.empty((b, o, length, s))
+            np.add(taps[:, :, 0], self.bias[None, :, None, None], out=out)
+            out = out.reshape(b, o, s * length)
+        else:
+            full = np.zeros((b, o, length + k // s - 1, s))
+            for p in range(k // s):
+                full[:, :, p : p + length] += taps[:, :, p]
+            crop = self._crop()
+            out = full.reshape(b, o, -1)[:, :, crop : crop + s * length] + self.bias[None, :, None]
         self._x = x
         return out
 
@@ -137,18 +147,17 @@ class TransposedConv1d:
         x = self._x
         if x is None or grad_out.shape != (x.shape[0], self.out_channels, self.stride * x.shape[2]):
             raise ShapeError(f"{self.name}: gradient shape does not match the saved forward")
-        b, _, length = x.shape
-        k = self.kernel_size
+        b, c, length = x.shape
+        o, k, s = self.out_channels, self.kernel_size, self.stride
         crop = self._crop()
-        g_full = np.zeros((b, self.out_channels, self.stride * length + k - self.stride))
-        g_full[:, :, crop : crop + self.stride * length] = grad_out
-        grad_in = np.zeros_like(x)
-        for tap in range(k):
-            g_tap = g_full[:, :, tap : tap + self.stride * length : self.stride]
-            grad_in += np.einsum("oc,bol->bcl", self.weight[:, :, tap], g_tap)
-            self.weight_grad[:, :, tap] += np.einsum("bol,bcl->oc", g_tap, x)
+        # g_taps[o, p, r, b, i] = padded grad_out at sample s*(i + p) + r: the forward's tap layout
+        g_pad = np.pad(grad_out, ((0, 0), (0, 0), (crop, crop))).reshape(b, o, -1, s)
+        g_taps = sliding_window_view(g_pad, length, axis=2).transpose(1, 2, 3, 0, 4)
+        g_taps = g_taps.reshape(o * k, b * length)
+        x_cols = x.transpose(1, 0, 2).reshape(c, b * length)
+        self.weight_grad += (g_taps @ x_cols.T).reshape(o, k, c).transpose(0, 2, 1)
         self.bias_grad += grad_out.sum(axis=(0, 2))
-        return grad_in
+        return (self._tap_matrix().T @ g_taps).reshape(c, b, length).transpose(1, 0, 2)
 
     def param_blocks(self):
         return [

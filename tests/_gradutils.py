@@ -65,3 +65,23 @@ def loop_transposed(x, weight, bias, stride=2):
                     for t in range(k):
                         full[bi, o, stride * i + t] += weight[o, ci, t] * x[bi, ci, i]
     return full[:, :, crop : crop + stride * length] + bias[None, :, None]
+
+
+def loop_transposed_grads(x, weight, grad_out, stride=2):
+    """Gather-loop oracle for the input and weight gradients of loop_transposed."""
+    b, c, length = x.shape
+    out_ch, _, k = weight.shape
+    crop = (k - stride) // 2
+    g_full = np.zeros((b, out_ch, stride * length + k - stride))
+    g_full[:, :, crop : crop + stride * length] = grad_out
+    grad_in = np.zeros_like(x)
+    weight_grad = np.zeros_like(weight)
+    for bi in range(b):
+        for o in range(out_ch):
+            for ci in range(c):
+                for i in range(length):
+                    for t in range(k):
+                        g = g_full[bi, o, stride * i + t]
+                        grad_in[bi, ci, i] += weight[o, ci, t] * g
+                        weight_grad[o, ci, t] += g * x[bi, ci, i]
+    return grad_in, weight_grad

@@ -185,3 +185,26 @@ def test_gradcheck_cli_smoke(capsys):
     assert run("gradcheck", "--width", "0.0625", "--length", "64", "--per-block", "2") == 0
     out = capsys.readouterr().out
     assert "approximation" in out and "refinement" in out and "below tolerance" in out
+
+
+def test_evaluate_constant_prediction_writes_strict_json(tmp_path):
+    # a constant sbp_pred leaves Pearson's r undefined; report.json must stay valid JSON
+    preds = tmp_path / "constant.csv"
+    lines = [
+        "episode_index,subject_id,sbp_true,dbp_true,map_true,"
+        "sbp_pred,dbp_pred,map_pred,waveform_mae,sqi"
+    ]
+    for i in range(12):
+        sbp, dbp = 110.0 + 3 * i, 70.0 + i
+        mean_ap = (sbp + 2 * dbp) / 3.0
+        lines.append(f"{i},subj{i % 4},{sbp},{dbp},{mean_ap},120.0,{dbp + 1},{mean_ap + 1},2.0,0.2")
+    preds.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "report.json"
+    assert run("evaluate", "--pred", str(preds), "--out", str(out)) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    report = json.loads(out.read_text(), parse_constant=reject)
+    assert report["sbp"]["agreement"]["pearson_r"] is None
+    assert isinstance(report["dbp"]["agreement"]["pearson_r"], float)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from _gradutils import linear_probe_check, loop_corr_same, loop_transposed
+from _gradutils import linear_probe_check, loop_corr_same, loop_transposed, loop_transposed_grads
 
 from bpwave import tensorops
 from bpwave.container import BadMagicError, BadVersionError, TruncatedContainerError
@@ -168,6 +168,39 @@ def test_transposed_adjoint_consistency():
         up.bias[:] = 0.0
         x = rng.normal(size=(1, c_in, length))
         y = rng.normal(size=(1, c_out, 2 * length))
+        lhs = float(np.sum(up.forward(x) * y))
+        rhs = float(np.sum(x * up.backward(y)))
+        assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("c_in, c_out", [(3, 5), (4, 2)])
+def test_transposed_matches_loop_oracles(k, batch, c_in, c_out):
+    rng = rng_for(100 + 10 * k + batch)
+    up = TransposedConv1d("up", c_in, c_out, k, rng)
+    up.bias[:] = rng.normal(size=c_out)
+    x = rng.normal(size=(batch, c_in, 6))
+    g = rng.normal(size=(batch, c_out, 12))
+    np.testing.assert_allclose(
+        up.forward(x), loop_transposed(x, up.weight, up.bias), rtol=0, atol=1e-12
+    )
+    grad_in = up.backward(g)
+    want_in, want_weight = loop_transposed_grads(x, up.weight, g)
+    np.testing.assert_allclose(grad_in, want_in, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(up.weight_grad, want_weight, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(up.bias_grad, g.sum(axis=(0, 2)), rtol=0, atol=1e-12)
+
+
+def test_transposed_adjoint_consistency_k4():
+    rng = rng_for(22)
+    for _ in range(20):
+        c_in, c_out = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        batch, length = int(rng.integers(1, 4)), int(rng.integers(2, 12))
+        up = TransposedConv1d("up", c_in, c_out, 4, rng_for(int(rng.integers(1e6))))
+        up.bias[:] = 0.0
+        x = rng.normal(size=(batch, c_in, length))
+        y = rng.normal(size=(batch, c_out, 2 * length))
         lhs = float(np.sum(up.forward(x) * y))
         rhs = float(np.sum(x * up.backward(y)))
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
