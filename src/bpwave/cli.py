@@ -88,7 +88,6 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=None, help=f"random seed (default {DEFAULT_SEED})")
     p.add_argument("--val-fraction", type=float, default=None, help="held-out fraction (default 0.1)")
     p.add_argument("--bn-refresh", type=int, default=None, help="post-training stat passes")
-    p.add_argument("--threads", type=int, default=1, help="worker cap (current code is serial)")
 
     p = add_command(
         "cv",
@@ -104,7 +103,6 @@ def _build_parser():
     p.add_argument("--epochs", type=int, default=None, help="training epochs (default 100)")
     p.add_argument("--batch-size", type=int, default=None, help="minibatch size (default 32)")
     p.add_argument("--seed", type=int, default=None, help=f"random seed (default {DEFAULT_SEED})")
-    p.add_argument("--threads", type=int, default=1)
 
     p = add_command(
         "infer",
@@ -116,7 +114,6 @@ def _build_parser():
     p.add_argument("--data", required=True, help="raw episode store")
     p.add_argument("--out", required=True, help="predictions CSV path")
     p.add_argument("--dump-waveforms", help="directory for per-episode waveform CSVs")
-    p.add_argument("--threads", type=int, default=1)
 
     p = add_command(
         "evaluate",

@@ -1,7 +1,8 @@
 """The two pressure-waveform networks, assembled from tensorops layers.
 
 The approximation network is a deeply supervised 1D U-Net; the refinement
-network is a 1D MultiResUNet. Both carry a fixed affine calibration on
+network is a 1D MultiResUNet. Both are one U-shaped skeleton that differs
+only in its blocks, its skip transforms and its auxiliary heads. Both carry a fixed affine calibration on
 their input and output so the convolutional trunk works in normalized
 units while callers see absolute mmHg (the calibration constants are set
 by the trainer and stored in checkpoints, never learned).
@@ -119,203 +120,38 @@ class _ConvBNRelu:
         return [self.conv, self.bn]
 
 
-class _CalibratedNetwork:
-    """Shared plumbing: affine input/output calibration, parameter traversal."""
+class _DoubleConv:
+    """U-Net block: two conv+BN+ReLU stages."""
 
-    def __init__(self):
-        self.input_scale = 1.0
-        self.input_offset = 0.0
-        self.output_scale = 1.0
-        self.output_offset = 0.0
+    def __init__(self, name, in_ch, out_ch, kernel_size, rng):
+        self.a = _ConvBNRelu(f"{name}.a", in_ch, out_ch, kernel_size, rng)
+        self.b = _ConvBNRelu(f"{name}.b", out_ch, out_ch, kernel_size, rng)
+        self.out_channels = out_ch
 
-    def set_calibration(self, input_scale=1.0, input_offset=0.0, output_scale=1.0, output_offset=0.0):
-        if input_scale == 0.0 or output_scale == 0.0:
-            raise ValueError("calibration scales must be non-zero")
-        self.input_scale = float(input_scale)
-        self.input_offset = float(input_offset)
-        self.output_scale = float(output_scale)
-        self.output_offset = float(output_offset)
+    def forward(self, x, mode):
+        return self.b.forward(self.a.forward(x, mode), mode)
 
-    def _calibrate_in(self, x):
-        return (x - self.input_offset) / self.input_scale
+    def backward(self, grad):
+        return self.a.backward(self.b.backward(grad))
 
-    def _calibrate_out(self, z):
-        return z * self.output_scale + self.output_offset
-
-    def _layers(self):
-        raise NotImplementedError
-
-    def param_blocks(self):
-        blocks = []
-        for layer in self._layers():
-            blocks.extend(layer.param_blocks())
-        return blocks
-
-    def parameter_count(self):
-        return sum(p.size for _, p, _ in self.param_blocks())
-
-    def zero_grads(self):
-        for _, _, grad in self.param_blocks():
-            grad[:] = 0.0
-
-    def checkpoint_entries(self):
-        entries = []
-        for layer in self._layers():
-            entries.extend(layer.state_entries())
-        entries.extend(
-            [
-                ("calibration.input_scale", np.array(self.input_scale)),
-                ("calibration.input_offset", np.array(self.input_offset)),
-                ("calibration.output_scale", np.array(self.output_scale)),
-                ("calibration.output_offset", np.array(self.output_offset)),
-            ]
-        )
-        return entries
-
-    def load_state(self, entries):
-        table = dict(entries)
-        for layer in self._layers():
-            for name, value in layer.state_entries():
-                if name not in table:
-                    raise ValueError(f"checkpoint is missing entry '{name}'")
-                incoming = table.pop(name)
-                if incoming.shape != value.shape:
-                    raise ValueError(
-                        f"checkpoint entry '{name}' has shape {incoming.shape}, "
-                        f"expected {value.shape}"
-                    )
-                value[:] = incoming
-        for attr in ("input_scale", "input_offset", "output_scale", "output_offset"):
-            key = f"calibration.{attr}"
-            if key not in table:
-                raise ValueError(f"checkpoint is missing entry '{key}'")
-            setattr(self, attr, float(table.pop(key)))
-        if table:
-            raise ValueError(f"checkpoint has unexpected entries: {sorted(table)}")
-
-    def summary(self):
-        lines = [f"{'layer':<42} {'shape':<16} {'params':>8}"]
-        for name, param, _ in self.param_blocks():
-            lines.append(f"{name:<42} {str(param.shape):<16} {param.size:>8}")
-        lines.append(f"{'total':<42} {'':<16} {self.parameter_count():>8}")
-        return "\n".join(lines)
-
-    def _check_input(self, x):
-        if x.ndim != 3 or x.shape[1] != 1 or x.shape[2] != self.config.input_length:
-            raise ShapeError(
-                f"expected input of shape (batch, 1, {self.config.input_length}), got {x.shape}"
-            )
+    def layers(self):
+        return self.a.layers() + self.b.layers()
 
 
-class UNet1D(_CalibratedNetwork):
-    """Deeply supervised 1D U-Net: the coarse waveform approximator.
+class _Identity:
+    """U-Net skip: the encoder output reaches the decoder unchanged."""
 
-    Auxiliary linear heads tap the tensor entering every transposed
-    convolution, producing subsampled outputs at 1/2 .. 1/2^(depth-1) of
-    the input length (shallowest first in NetworkOutput.auxiliaries).
-    """
+    def __init__(self, channels):
+        self.out_channels = channels
 
-    def __init__(self, config=None, seed=0):
-        super().__init__()
-        self.config = (config or UNet1DConfig()).validate()
-        cfg = self.config
-        rng = np.random.default_rng(seed)
-        k = cfg.kernel_size
-        f = cfg.filters_per_level
-        levels = cfg.depth - 1
+    def forward(self, x, mode):
+        return x
 
-        self.enc = []
-        self.pools = []
-        in_ch = 1
-        for l in range(levels):
-            self.enc.append(
-                (
-                    _ConvBNRelu(f"enc{l}.a", in_ch, f[l], k, rng),
-                    _ConvBNRelu(f"enc{l}.b", f[l], f[l], k, rng),
-                )
-            )
-            self.pools.append(MaxPool1d(2))
-            in_ch = f[l]
-        self.bottleneck = (
-            _ConvBNRelu("bottleneck.a", f[levels - 1], f[levels], k, rng),
-            _ConvBNRelu("bottleneck.b", f[levels], f[levels], k, rng),
-        )
-        self.ups = [None] * levels
-        self.dec = [None] * levels
-        for l in range(levels - 1, -1, -1):
-            self.ups[l] = TransposedConv1d(f"dec{l}.up", f[l + 1], f[l], 2, rng)
-            self.dec[l] = (
-                _ConvBNRelu(f"dec{l}.a", 2 * f[l], f[l], k, rng),
-                _ConvBNRelu(f"dec{l}.b", f[l], f[l], k, rng),
-            )
-        # aux head k sees the tensor entering up_{k-1}: the deepest head (k = levels)
-        # reads the bottleneck, head k < levels reads the dec stage k output
-        self.aux_heads = {}
-        for head in range(levels, 0, -1):
-            ch = f[levels] if head == levels else f[head]
-            self.aux_heads[head] = Conv1d(f"head.aux{head}", ch, 1, 1, rng, init="linear")
-        self.final_head = Conv1d("head.final", f[0], 1, 1, rng, init="linear")
+    def backward(self, grad):
+        return grad
 
-    def _layers(self):
-        layers = []
-        for a, b in self.enc:
-            layers.extend(a.layers() + b.layers())
-        layers.extend(self.bottleneck[0].layers() + self.bottleneck[1].layers())
-        for l in range(len(self.ups)):
-            layers.append(self.ups[l])
-            layers.extend(self.dec[l][0].layers() + self.dec[l][1].layers())
-        for head in sorted(self.aux_heads):
-            layers.append(self.aux_heads[head])
-        layers.append(self.final_head)
-        return layers
-
-    def forward(self, x, mode="train"):
-        self._check_input(x)
-        cfg = self.config
-        levels = cfg.depth - 1
-        h = self._calibrate_in(x)
-        skips = []
-        for l in range(levels):
-            a, b = self.enc[l]
-            h = b.forward(a.forward(h, mode), mode)
-            skips.append(h)
-            h = self.pools[l].forward(h, mode)
-        h = self.bottleneck[1].forward(self.bottleneck[0].forward(h, mode), mode)
-
-        aux = {levels: self._calibrate_out(self.aux_heads[levels].forward(h, mode))}
-        for l in range(levels - 1, -1, -1):
-            h = self.ups[l].forward(h, mode)
-            h = concat_channels(h, skips[l])
-            h = self.dec[l][1].forward(self.dec[l][0].forward(h, mode), mode)
-            if l > 0:
-                aux[l] = self._calibrate_out(self.aux_heads[l].forward(h, mode))
-        final = self._calibrate_out(self.final_head.forward(h, mode))
-        return NetworkOutput(final=final, auxiliaries=[aux[k] for k in range(1, levels + 1)])
-
-    def backward(self, grad_final, grad_auxiliaries=None):
-        cfg = self.config
-        levels = cfg.depth - 1
-        f = cfg.filters_per_level
-        aux_grads = grad_auxiliaries or [None] * levels
-
-        g = self.final_head.backward(grad_final * self.output_scale)
-        skip_grads = [None] * levels
-        for l in range(levels):
-            if l > 0 and aux_grads[l - 1] is not None:
-                g = g + self.aux_heads[l].backward(aux_grads[l - 1] * self.output_scale)
-            g = self.dec[l][0].backward(self.dec[l][1].backward(g))
-            g_up, skip_grads[l] = split_channels(g, f[l])
-            g = self.ups[l].backward(g_up)
-        if aux_grads[levels - 1] is not None:
-            g = g + self.aux_heads[levels].backward(aux_grads[levels - 1] * self.output_scale)
-
-        g = self.bottleneck[0].backward(self.bottleneck[1].backward(g))
-        for l in range(levels - 1, -1, -1):
-            g = self.pools[l].backward(g)
-            g = g + skip_grads[l]
-            a, b = self.enc[l]
-            g = a.backward(b.backward(g))
-        return g / self.input_scale
+    def layers(self):
+        return []
 
 
 class _MultiResBlock:
@@ -395,83 +231,218 @@ class _ResPath:
         return out
 
 
-class MultiResUNet1D(_CalibratedNetwork):
-    """1D MultiResUNet: the waveform refiner. Single output, no deep supervision."""
+class _UShapedNetwork:
+    """The topology both networks share, with its calibration and checkpoint plumbing.
 
-    def __init__(self, config=None, seed=0):
-        super().__init__()
-        self.config = (config or MultiResUNet1DConfig()).validate()
-        cfg = self.config
+    Per level an encoder block, a skip transform of its output and a pool;
+    a bottleneck block; then per level, deepest first, a stride-2 transposed
+    convolution, a channel concat with the skip and a decoder block; then a
+    1-tap linear head. A subclass supplies _block(name, in_ch, level, rng)
+    and _skip(level, channels, rng); a deeply supervised one also gets a
+    linear auxiliary head on the tensor entering every transposed
+    convolution. Layers are built in a fixed order (encoder blocks with
+    their skips, bottleneck, decoder levels deepest first, auxiliary heads
+    deepest first, final head): changing it changes every seeded weight,
+    and tests/test_models.py pins the resulting checkpoint entries.
+
+    Each subclass binds _forward and _backward as its own forward and
+    backward, so per-network timing (perfbench/bench_trace.py) can wrap
+    them class by class.
+    """
+
+    deeply_supervised = False
+
+    def __init__(self, config, seed):
+        self.config = config.validate()
+        self.set_calibration()
         rng = np.random.default_rng(seed)
-        levels = cfg.depth - 1
-        u = cfg.base_widths
-
-        self.enc = []
-        self.pools = []
-        self.res_paths = []
-        in_ch = 1
+        levels = config.depth - 1
+        self.enc, self.skips, self.pools = [], [], []
+        ch = 1
         for l in range(levels):
-            block = _MultiResBlock(f"enc{l}", in_ch, cfg, l, rng)
-            self.enc.append(block)
+            self.enc.append(self._block(f"enc{l}", ch, l, rng))
+            ch = self.enc[l].out_channels
+            self.skips.append(self._skip(l, ch, rng))
             self.pools.append(MaxPool1d(2))
-            self.res_paths.append(
-                _ResPath(f"respath{l}", block.out_channels, u[l], cfg.res_path_lengths[l], rng)
-            )
-            in_ch = block.out_channels
-        self.bottleneck = _MultiResBlock("bottleneck", in_ch, cfg, levels, rng)
+        self.bottleneck = self._block("bottleneck", ch, levels, rng)
         self.ups = [None] * levels
         self.dec = [None] * levels
-        below_ch = self.bottleneck.out_channels
-        for l in range(levels - 1, -1, -1):
-            self.ups[l] = TransposedConv1d(f"dec{l}.up", below_ch, u[l], 2, rng)
-            self.dec[l] = _MultiResBlock(f"dec{l}", 2 * u[l], cfg, l, rng)
-            below_ch = self.dec[l].out_channels
-        self.final_head = Conv1d("head.final", self.dec[0].out_channels, 1, 1, rng, init="linear")
+        ch = self.bottleneck.out_channels
+        for l in reversed(range(levels)):
+            width = self.skips[l].out_channels
+            self.ups[l] = TransposedConv1d(f"dec{l}.up", ch, width, 2, rng)
+            self.dec[l] = self._block(f"dec{l}", 2 * width, l, rng)
+            ch = self.dec[l].out_channels
+        # aux head l + 1 reads the tensor entering ups[l]; built deepest first
+        below = self.dec[1:] + [self.bottleneck]
+        self.aux_heads = [
+            Conv1d(f"head.aux{l + 1}", below[l].out_channels, 1, 1, rng, init="linear")
+            for l in reversed(range(levels))
+            if self.deeply_supervised
+        ][::-1]
+        self.final_head = Conv1d("head.final", ch, 1, 1, rng, init="linear")
+
+    def set_calibration(self, input_scale=1.0, input_offset=0.0, output_scale=1.0, output_offset=0.0):
+        if input_scale == 0.0 or output_scale == 0.0:
+            raise ValueError("calibration scales must be non-zero")
+        self.input_scale = float(input_scale)
+        self.input_offset = float(input_offset)
+        self.output_scale = float(output_scale)
+        self.output_offset = float(output_offset)
+
+    def _calibrate_in(self, x):
+        return (x - self.input_offset) / self.input_scale
+
+    def _calibrate_out(self, z):
+        return z * self.output_scale + self.output_offset
 
     def _layers(self):
         layers = []
-        for l in range(len(self.enc)):
-            layers.extend(self.enc[l].layers())
-            layers.extend(self.res_paths[l].layers())
-        layers.extend(self.bottleneck.layers())
-        for l in range(len(self.ups)):
-            layers.append(self.ups[l])
-            layers.extend(self.dec[l].layers())
-        layers.append(self.final_head)
-        return layers
+        for enc, skip in zip(self.enc, self.skips):
+            layers += enc.layers() + skip.layers()
+        layers += self.bottleneck.layers()
+        for up, dec in zip(self.ups, self.dec):
+            layers += [up] + dec.layers()
+        return layers + self.aux_heads + [self.final_head]
 
-    def forward(self, x, mode="train"):
+    def param_blocks(self):
+        blocks = []
+        for layer in self._layers():
+            blocks.extend(layer.param_blocks())
+        return blocks
+
+    def parameter_count(self):
+        return sum(p.size for _, p, _ in self.param_blocks())
+
+    def zero_grads(self):
+        for _, _, grad in self.param_blocks():
+            grad[:] = 0.0
+
+    def checkpoint_entries(self):
+        entries = []
+        for layer in self._layers():
+            entries.extend(layer.state_entries())
+        entries.extend(
+            [
+                ("calibration.input_scale", np.array(self.input_scale)),
+                ("calibration.input_offset", np.array(self.input_offset)),
+                ("calibration.output_scale", np.array(self.output_scale)),
+                ("calibration.output_offset", np.array(self.output_offset)),
+            ]
+        )
+        return entries
+
+    def load_state(self, entries):
+        table = dict(entries)
+        for layer in self._layers():
+            for name, value in layer.state_entries():
+                if name not in table:
+                    raise ValueError(f"checkpoint is missing entry '{name}'")
+                incoming = table.pop(name)
+                if incoming.shape != value.shape:
+                    raise ValueError(
+                        f"checkpoint entry '{name}' has shape {incoming.shape}, "
+                        f"expected {value.shape}"
+                    )
+                value[:] = incoming
+        for attr in ("input_scale", "input_offset", "output_scale", "output_offset"):
+            key = f"calibration.{attr}"
+            if key not in table:
+                raise ValueError(f"checkpoint is missing entry '{key}'")
+            setattr(self, attr, float(table.pop(key)))
+        if table:
+            raise ValueError(f"checkpoint has unexpected entries: {sorted(table)}")
+
+    def summary(self):
+        lines = [f"{'layer':<42} {'shape':<16} {'params':>8}"]
+        for name, param, _ in self.param_blocks():
+            lines.append(f"{name:<42} {str(param.shape):<16} {param.size:>8}")
+        lines.append(f"{'total':<42} {'':<16} {self.parameter_count():>8}")
+        return "\n".join(lines)
+
+    def _check_input(self, x):
+        if x.ndim != 3 or x.shape[1] != 1 or x.shape[2] != self.config.input_length:
+            raise ShapeError(
+                f"expected input of shape (batch, 1, {self.config.input_length}), got {x.shape}"
+            )
+
+    def _forward(self, x, mode="train"):
         self._check_input(x)
-        levels = self.config.depth - 1
         h = self._calibrate_in(x)
         skips = []
-        for l in range(levels):
-            h = self.enc[l].forward(h, mode)
-            skips.append(self.res_paths[l].forward(h, mode))
-            h = self.pools[l].forward(h, mode)
+        for enc, skip, pool in zip(self.enc, self.skips, self.pools):
+            h = enc.forward(h, mode)
+            skips.append(skip.forward(h, mode))
+            h = pool.forward(h, mode)
         h = self.bottleneck.forward(h, mode)
-        for l in range(levels - 1, -1, -1):
+        aux = []
+        for l in reversed(range(len(self.ups))):
+            if self.aux_heads:
+                aux.insert(0, self._calibrate_out(self.aux_heads[l].forward(h, mode)))
             h = self.ups[l].forward(h, mode)
-            h = concat_channels(h, skips[l])
-            h = self.dec[l].forward(h, mode)
+            h = self.dec[l].forward(concat_channels(h, skips[l]), mode)
         final = self._calibrate_out(self.final_head.forward(h, mode))
-        return NetworkOutput(final=final, auxiliaries=[])
+        return NetworkOutput(final=final, auxiliaries=aux)
 
-    def backward(self, grad_final, grad_auxiliaries=None):
-        levels = self.config.depth - 1
-        u = self.config.base_widths
+    def _backward(self, grad_final, grad_auxiliaries=None):
+        """Input gradient; grad_auxiliaries lists the auxiliary gradients
+        shallowest first (None, or None entries, for heads without a loss)."""
+        aux_grads = grad_auxiliaries or [None] * len(self.ups)
         g = self.final_head.backward(grad_final * self.output_scale)
-        skip_grads = [None] * levels
-        for l in range(levels):
-            g = self.dec[l].backward(g)
-            g_up, skip_grads[l] = split_channels(g, u[l])
-            g = self.ups[l].backward(g_up)
+        skip_grads = []
+        for l, (up, dec) in enumerate(zip(self.ups, self.dec)):
+            g_up, g_skip = split_channels(dec.backward(g), up.out_channels)
+            skip_grads.append(g_skip)
+            g = up.backward(g_up)
+            if aux_grads[l] is not None:
+                g = g + self.aux_heads[l].backward(aux_grads[l] * self.output_scale)
         g = self.bottleneck.backward(g)
-        for l in range(levels - 1, -1, -1):
-            g = self.pools[l].backward(g)
-            g = self.res_paths[l].backward(skip_grads[l]) + g
+        for l in reversed(range(len(self.enc))):
+            g = self.pools[l].backward(g) + self.skips[l].backward(skip_grads[l])
             g = self.enc[l].backward(g)
         return g / self.input_scale
+
+
+class UNet1D(_UShapedNetwork):
+    """Deeply supervised 1D U-Net: the coarse waveform approximator.
+
+    Auxiliary linear heads tap the tensor entering every transposed
+    convolution, producing subsampled outputs at 1/2 .. 1/2^(depth-1) of
+    the input length (shallowest first in NetworkOutput.auxiliaries).
+    """
+
+    deeply_supervised = True
+
+    def __init__(self, config=None, seed=0):
+        super().__init__(config or UNet1DConfig(), seed)
+
+    def _block(self, name, in_ch, level, rng):
+        cfg = self.config
+        return _DoubleConv(name, in_ch, cfg.filters_per_level[level], cfg.kernel_size, rng)
+
+    def _skip(self, level, channels, rng):
+        return _Identity(channels)
+
+    forward = _UShapedNetwork._forward
+    backward = _UShapedNetwork._backward
+
+
+class MultiResUNet1D(_UShapedNetwork):
+    """1D MultiResUNet: the waveform refiner. Single output, no deep supervision."""
+
+    def __init__(self, config=None, seed=0):
+        super().__init__(config or MultiResUNet1DConfig(), seed)
+
+    def _block(self, name, in_ch, level, rng):
+        return _MultiResBlock(name, in_ch, self.config, level, rng)
+
+    def _skip(self, level, channels, rng):
+        cfg = self.config
+        width, length = cfg.base_widths[level], cfg.res_path_lengths[level]
+        return _ResPath(f"respath{level}", channels, width, length, rng)
+
+    forward = _UShapedNetwork._forward
+    backward = _UShapedNetwork._backward
 
 
 def build_unet1d(config=None, seed=0):

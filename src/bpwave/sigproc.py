@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-EPISODE_SAMPLES = 1024
 DEFAULT_FS = 125.0
 DENOISE_LEVELS = 10
 

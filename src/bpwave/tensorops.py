@@ -2,8 +2,10 @@
 
 Activations travel as float64 arrays of shape (batch, channels, length).
 Each layer object owns its parameters, accumulates gradients on backward,
-and remembers whatever the backward pass needs from the last forward, so a
-single layer instance supports one forward/backward pair at a time.
+and remembers whatever the backward pass needs from the last train-mode
+forward, so a single layer instance supports one forward/backward pair at a
+time. An infer-mode forward keeps nothing, and a backward after it raises
+ShapeError.
 """
 
 import struct
@@ -70,7 +72,7 @@ class Conv1d:
     def forward(self, x, mode="train"):
         _check_activation(x, self.in_channels)
         out = _corr_same(x, self.weight) + self.bias[None, :, None]
-        self._x = x
+        self._x = x if mode == "train" else None
         return out
 
     def backward(self, grad_out):
@@ -140,7 +142,7 @@ class TransposedConv1d:
                 full[:, :, p : p + length] += taps[:, :, p]
             crop = self._crop()
             out = full.reshape(b, o, -1)[:, :, crop : crop + s * length] + self.bias[None, :, None]
-        self._x = x
+        self._x = x if mode == "train" else None
         return out
 
     def backward(self, grad_out):
@@ -175,7 +177,6 @@ class MaxPool1d:
     def __init__(self, window=2):
         self.window = window
         self._argmax = None
-        self._in_shape = None
 
     def forward(self, x, mode="train"):
         _check_activation(x)
@@ -185,17 +186,16 @@ class MaxPool1d:
         xr = x.reshape(b, c, length // self.window, self.window)
         idx = xr.argmax(axis=-1)
         out = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
-        self._argmax = idx
-        self._in_shape = x.shape
+        self._argmax = idx if mode == "train" else None
         return out
 
     def backward(self, grad_out):
         if self._argmax is None or grad_out.shape != self._argmax.shape:
             raise ShapeError("pool gradient shape does not match the saved forward")
-        b, c, length = self._in_shape
-        grad_in = np.zeros((b, c, length // self.window, self.window))
+        b, c, pooled = self._argmax.shape
+        grad_in = np.zeros((b, c, pooled, self.window))
         np.put_along_axis(grad_in, self._argmax[..., None], grad_out[..., None], axis=-1)
-        return grad_in.reshape(b, c, length)
+        return grad_in.reshape(b, c, pooled * self.window)
 
 
 class BatchNorm1d:
@@ -214,7 +214,6 @@ class BatchNorm1d:
         self.beta_grad = np.zeros_like(self.beta)
         self._x_hat = None
         self._inv_std = None
-        self._mode = None
 
     def forward(self, x, mode="train"):
         _check_activation(x, self.channels)
@@ -230,9 +229,9 @@ class BatchNorm1d:
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         x_hat = (x - mean[None, :, None]) * inv_std[None, :, None]
-        self._x_hat = x_hat
-        self._inv_std = inv_std
-        self._mode = mode
+        keep = mode == "train"
+        self._x_hat = x_hat if keep else None
+        self._inv_std = inv_std if keep else None
         return self.gamma[None, :, None] * x_hat + self.beta[None, :, None]
 
     def backward(self, grad_out):
@@ -242,8 +241,6 @@ class BatchNorm1d:
         self.gamma_grad += (grad_out * x_hat).sum(axis=(0, 2))
         self.beta_grad += grad_out.sum(axis=(0, 2))
         scale = (self.gamma * self._inv_std)[None, :, None]
-        if self._mode != "train":
-            return grad_out * scale
         g_mean = grad_out.mean(axis=(0, 2), keepdims=True)
         gx_mean = (grad_out * x_hat).mean(axis=(0, 2), keepdims=True)
         return scale * (grad_out - g_mean - x_hat * gx_mean)
@@ -268,18 +265,14 @@ class ReLU:
         self._mask = None
 
     def forward(self, x, mode="train"):
-        self._mask = x > 0.0
-        return np.where(self._mask, x, 0.0)
+        mask = x > 0.0
+        self._mask = mask if mode == "train" else None
+        return np.where(mask, x, 0.0)
 
     def backward(self, grad_out):
         if self._mask is None or grad_out.shape != self._mask.shape:
             raise ShapeError("relu gradient shape does not match the saved forward")
         return grad_out * self._mask
-
-
-def linear_activation(x):
-    """Identity; the regression head applies no nonlinearity."""
-    return x
 
 
 def concat_channels(a, b):

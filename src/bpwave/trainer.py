@@ -26,7 +26,6 @@ class TrainConfig:
     refine_loss: str = "mse"
     adam: AdamConfig = field(default_factory=AdamConfig)
     seed: int = 0
-    deep_supervision_weights: tuple = (1.0, 0.9, 0.8, 0.7, 0.6)
     # extra train-mode forwards after training so the momentum-tracked
     # running statistics converge; 0 keeps the plain recipe
     bn_refresh_passes: int = 0
@@ -169,7 +168,7 @@ def train_network(network, train_store, val_store, config, which="approx", appro
 
     if which == "approx":
         base_loss = tensorops.LOSSES[config.approx_loss]
-        weights = tuple(config.deep_supervision_weights)
+        weights = network.config.deep_supervision_weights
         calibrate_network(network, y_train)
     else:
         base_loss = tensorops.LOSSES[config.refine_loss]

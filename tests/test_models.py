@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,74 @@ def test_outputs_finite_across_seeds():
             assert np.all(np.isfinite(a))
         mout = build_multiresunet1d(mcfg, seed=seed).forward(x, mode="infer")
         assert np.all(np.isfinite(mout.final))
+
+
+# Checkpoint layout at construction: the ordered (name, shape, float64 bytes)
+# entries of both networks at width 1/16, length 64, seed 0. A change to an
+# entry name, the entry order or the seeded construction order changes them,
+# and checkpoints written before it would no longer load the same weights.
+PINNED_CHECKPOINT_DIGESTS = {
+    "unet": "3eaec6cb2e82a4772ca2886ad7f72e1cd835a79e840740b70fc94b1173e82988",
+    "multires": "6e4971109dbbb1ad7239353314f7e93cb8dd6ad4377a06ee53ab2395dde830b1",
+}
+
+
+def checkpoint_digest(net):
+    h = hashlib.sha256()
+    for name, value in net.checkpoint_entries():
+        value = np.asarray(value, dtype=np.float64)
+        h.update(name.encode())
+        h.update(repr(value.shape).encode())
+        h.update(value.tobytes())
+    return h.hexdigest()
+
+
+def test_checkpoint_layout_is_pinned():
+    unet = build_unet1d(UNet1DConfig.scaled(1 / 16, input_length=64), seed=0)
+    multires = build_multiresunet1d(MultiResUNet1DConfig.scaled(1 / 16, input_length=64), seed=0)
+    assert checkpoint_digest(unet) == PINNED_CHECKPOINT_DIGESTS["unet"]
+    assert checkpoint_digest(multires) == PINNED_CHECKPOINT_DIGESTS["multires"]
+
+
+SAVED_STATE = ("_x", "_mask", "_argmax", "_x_hat", "_inv_std")
+
+
+def saved_tensors(net):
+    """Every saved-for-backward attribute of every layer object in the network."""
+    seen, found, stack = set(), [], [net]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or not hasattr(obj, "__dict__"):
+            continue
+        seen.add(id(obj))
+        for attr, value in vars(obj).items():
+            if attr in SAVED_STATE:
+                found.append((type(obj).__name__, attr, value))
+            elif isinstance(value, (list, tuple)):
+                stack.extend(value)
+            elif hasattr(value, "__dict__"):
+                stack.append(value)
+    return found
+
+
+@pytest.mark.parametrize(
+    "build, config",
+    [(build_unet1d, UNet1DConfig), (build_multiresunet1d, MultiResUNet1DConfig)],
+)
+def test_infer_forward_keeps_nothing(build, config):
+    net = build(config.scaled(1 / 16, input_length=64), seed=0)
+    x = np.random.default_rng(3).normal(size=(2, 1, 64))
+    out = net.forward(x, mode="train")
+    kept = saved_tensors(net)
+    assert {attr for _, attr, _ in kept} == set(SAVED_STATE)
+    assert all(value is not None for _, _, value in kept)
+
+    net.forward(x, mode="infer")
+    after = saved_tensors(net)
+    assert len(after) == len(kept)
+    assert all(value is None for _, _, value in after)
+    with pytest.raises(ShapeError):
+        net.backward(np.ones_like(out.final), [np.ones_like(a) for a in out.auxiliaries])
 
 
 # -------------------------------------------------------------- calibration

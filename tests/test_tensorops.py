@@ -16,7 +16,6 @@ from bpwave.tensorops import (
     TransposedConv1d,
     concat_channels,
     gradcheck,
-    linear_activation,
     mae_loss,
     mse_loss,
     read_checkpoint,
@@ -300,8 +299,6 @@ def test_relu_values_and_identity():
     relu = ReLU()
     out = relu.forward(np.array([[[-1.0, 0.0, 2.0]]]))
     np.testing.assert_allclose(out, [[[0.0, 0.0, 2.0]]])
-    x = np.array([[[0.3, -0.7]]])
-    np.testing.assert_array_equal(linear_activation(x), x)
 
 
 def test_relu_subgradient_zero_at_zero():

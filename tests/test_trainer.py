@@ -163,6 +163,25 @@ def test_epoch_one_loss_matches_manual_assembly(small_store):
     assert abs(r2.history[0].train_loss - manual) < 1e-12
 
 
+def test_shallow_unet_trains_with_its_own_supervision_weights(small_store):
+    """The deep-supervision weights come from the network's config, so a
+    U-Net of any depth trains, and its loss uses exactly those weights."""
+    cfg = UNet1DConfig(
+        depth=2, filters_per_level=(2, 4), deep_supervision_weights=(1.0, 0.5), input_length=LENGTH
+    )
+    config = TrainConfig(epochs=1, batch_size=len(small_store), seed=4)
+    result = train_network(models.build_unet1d(cfg, seed=4), small_store, None, config, which="approx")
+
+    x, y = episodes_to_arrays(small_store)
+    replica = models.build_unet1d(cfg, seed=4)
+    trainer.calibrate_network(replica, y)
+    idx = np.random.default_rng(4).permutation(len(small_store))
+    out = replica.forward(x[idx], mode="train")
+    manual, _, _ = deep_supervised_loss(out, y[idx], (1.0, 0.5), mae_loss)
+    assert len(result.history) == 1
+    assert abs(result.history[0].train_loss - manual) < 1e-12
+
+
 def test_refinement_leaves_approx_untouched(small_store, tmp_path):
     approx = tiny_unet(seed=5)
     config = TrainConfig(epochs=2, batch_size=8, seed=5)
