@@ -35,20 +35,29 @@ def _check_activation(x, in_channels=None):
         raise ShapeError(f"expected {in_channels} input channels, got {x.shape[1]}")
 
 
-def _window_columns(x, k):
-    """(B*L, C*K) matrix of same-padded sliding windows."""
+def _window_stack(x, k):
+    """(B, C*K, L) same-padded windows: row c*K + t holds channel c shifted by t - K//2."""
+    if k == 1:
+        return x
     b, c, length = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (k // 2, k // 2)))
-    win = sliding_window_view(xp, k, axis=2)                  # (B, C, L, K)
-    return win.transpose(0, 2, 1, 3).reshape(b * length, c * k)
+    cols = np.zeros((b, c, k, length))
+    for t in range(k):
+        s = t - k // 2
+        lo, hi = max(0, -s), min(length, length - s)
+        if lo < hi:
+            cols[:, :, t, lo:hi] = x[:, :, lo + s : hi + s]
+    return cols.reshape(b, c * k, length)
 
 
 def _corr_same(x, weight):
-    """Same-padded stride-1 cross-correlation of (B,C,L) with (O,C,K), K odd."""
-    b, _, length = x.shape
+    """Same-padded stride-1 cross-correlation of (B,C,L) with (O,C,K), K odd.
+
+    One (O, C*K) @ (C*K, L) product per sample, so a sample's output does
+    not depend on the batch it shares: stacked and one-at-a-time forwards
+    agree bitwise.
+    """
     out_ch, c, k = weight.shape
-    out = _window_columns(x, k) @ weight.reshape(out_ch, c * k).T
-    return out.reshape(b, length, out_ch).transpose(0, 2, 1)
+    return weight.reshape(out_ch, c * k) @ _window_stack(x, k)
 
 
 class Conv1d:
@@ -65,13 +74,16 @@ class Conv1d:
         std = np.sqrt((2.0 if init == "relu" else 1.0) / fan_in)
         self.weight = rng.normal(0.0, std, size=(out_channels, in_channels, kernel_size))
         self.bias = np.zeros(out_channels)
-        self.weight_grad = np.zeros_like(self.weight)
-        self.bias_grad = np.zeros_like(self.bias)
+        # np.zeros, unlike np.zeros_like, leaves a large buffer's fresh pages
+        # untouched until a backward writes them: infer-only use never pays for them
+        self.weight_grad = np.zeros(self.weight.shape)
+        self.bias_grad = np.zeros(out_channels)
         self._x = None
 
     def forward(self, x, mode="train"):
         _check_activation(x, self.in_channels)
-        out = _corr_same(x, self.weight) + self.bias[None, :, None]
+        out = _corr_same(x, self.weight)
+        out += self.bias[None, :, None]
         self._x = x if mode == "train" else None
         return out
 
@@ -79,10 +91,9 @@ class Conv1d:
         x = self._x
         if x is None or grad_out.shape != (x.shape[0], self.out_channels, x.shape[2]):
             raise ShapeError(f"{self.name}: gradient shape does not match the saved forward")
-        b, _, length = x.shape
-        cols = _window_columns(x, self.kernel_size)
-        g2 = grad_out.transpose(0, 2, 1).reshape(b * length, self.out_channels)
-        self.weight_grad += (g2.T @ cols).reshape(self.weight.shape)
+        cols = _window_stack(x, self.kernel_size)
+        g_w = np.tensordot(grad_out, cols, axes=((0, 2), (0, 2)))
+        self.weight_grad += g_w.reshape(self.weight.shape)
         self.bias_grad += grad_out.sum(axis=(0, 2))
         # input gradient = correlation with the channel-swapped, tap-reversed kernel
         w_t = self.weight[:, :, ::-1].transpose(1, 0, 2)
@@ -114,8 +125,8 @@ class TransposedConv1d:
         std = np.sqrt((2.0 if init == "relu" else 1.0) / fan_in)
         self.weight = rng.normal(0.0, std, size=(out_channels, in_channels, kernel_size))
         self.bias = np.zeros(out_channels)
-        self.weight_grad = np.zeros_like(self.weight)
-        self.bias_grad = np.zeros_like(self.bias)
+        self.weight_grad = np.zeros(self.weight.shape)
+        self.bias_grad = np.zeros(out_channels)
         self._x = None
 
     def _crop(self):
@@ -210,8 +221,8 @@ class BatchNorm1d:
         self.beta = np.zeros(channels)
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.gamma_grad = np.zeros_like(self.gamma)
-        self.beta_grad = np.zeros_like(self.beta)
+        self.gamma_grad = np.zeros(channels)
+        self.beta_grad = np.zeros(channels)
         self._x_hat = None
         self._inv_std = None
 

@@ -171,6 +171,20 @@ def test_infer_forward_is_bitwise_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize(
+    "build, config",
+    [(build_unet1d, UNet1DConfig), (build_multiresunet1d, MultiResUNet1DConfig)],
+)
+def test_stacked_infer_forward_matches_single_episodes(build, config):
+    net = build(config.scaled(1 / 16, input_length=1024), seed=4)
+    x = np.random.default_rng(8).normal(size=(8, 1, 1024))
+    stacked = net.forward(x, mode="infer")
+    singles = [net.forward(x[i : i + 1], mode="infer") for i in range(8)]
+    np.testing.assert_array_equal(stacked.final, np.concatenate([s.final for s in singles]))
+    for j, aux in enumerate(stacked.auxiliaries):
+        np.testing.assert_array_equal(aux, np.concatenate([s.auxiliaries[j] for s in singles]))
+
+
 def test_outputs_finite_across_seeds():
     cfg = UNet1DConfig.scaled(1 / 16, input_length=64)
     mcfg = MultiResUNet1DConfig.scaled(1 / 16, input_length=64)

@@ -192,6 +192,52 @@ def test_batch_predict_skips_failures():
     assert [r.index for r in rows] == [0, 2]
 
 
+class MarkerNetwork:
+    """Test double: a real network that raises on any stack holding a marker episode."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.config = inner.config
+        self.stack_sizes = []
+
+    def forward(self, x, mode="infer"):
+        self.stack_sizes.append(x.shape[0])
+        if np.max(np.abs(x)) > 1e5:
+            raise ValueError("marker episode")
+        return self.inner.forward(x, mode=mode)
+
+
+def test_batch_predict_multi_stack_isolates_failures():
+    real = tiny_bundle(seed=12)
+    marker = MarkerNetwork(real.approx_network)
+    bundle = PipelineBundle(approx_network=marker, refine_network=real.refine_network)
+    store = datapipe.synth_generate(9, seed=13)
+    store.records[2].ppg[5] = np.nan
+    store.records[5].ppg[0] = 1e6  # finite, so only the stacked forward rejects it
+    short = store.records[7]
+    store.records[7] = datapipe.EpisodeRecord(short.ppg[:-1], short.abp, short.subject_id)
+
+    rows, failures = batch_predict(bundle, store)
+
+    expected = []
+    for i in (2, 5, 7):
+        with pytest.raises(ValueError) as exc:
+            predict_waveform(bundle, store[i].ppg)
+        expected.append((i, str(exc.value)))
+    assert failures == expected
+    assert "non-finite" in failures[0][1] and "marker" in failures[1][1]
+    assert "1023" in failures[2][1]
+    assert [r.index for r in rows] == [0, 1, 3, 4, 6, 8]
+    for row in rows:
+        single = predict_waveform(real, store[row.index].ppg)
+        np.testing.assert_array_equal(row.pred_abp, single)
+        assert row.waveform_mae == waveform_mae(single, store[row.index].abp)
+    # chunks of 4, 4 and 1 episodes; the second chunk's stack holds the
+    # marker, so its episodes run again one at a time; the rest are the
+    # predict_waveform calls above
+    assert marker.stack_sizes[:6] == [3, 3, 1, 1, 1, 1]
+
+
 # ------------------------------------------------------------------- bundles
 
 def test_bundle_roundtrip(tmp_path):

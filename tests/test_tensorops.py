@@ -116,6 +116,17 @@ def test_conv_adjoint_consistency():
         conv.bias_grad[:] = 0.0
 
 
+@pytest.mark.parametrize("out_ch", [1, 3, 13])
+@pytest.mark.parametrize("k", [1, 3])
+def test_conv_forward_is_batch_invariant(out_ch, k):
+    conv = make_conv(5, out_ch, k, seed=out_ch)
+    conv.bias[:] = rng_for(k).normal(size=out_ch)
+    x = rng_for(12).normal(size=(16, 5, 96))
+    stacked = conv.forward(x, mode="infer")
+    singles = np.concatenate([conv.forward(x[i : i + 1], mode="infer") for i in range(16)])
+    np.testing.assert_array_equal(stacked, singles)
+
+
 # --------------------------------------------------------------- transposed
 
 def test_transposed_small_case():
