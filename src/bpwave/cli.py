@@ -8,12 +8,22 @@ results to files or stdout.
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from . import datapipe, evalstats, models, pipeline, trainer
-from .container import ContainerFormatError
 from .tensorops import AdamConfig, NumericalError
 
 DEFAULT_SEED = 1024  # fixed so every documented example is reproducible
+
+# config-file keys and their defaults: the TrainConfig and AdamConfig fields,
+# then the CLI's own seed and the two settings only the CLI uses
+SETTING_DEFAULTS = {
+    **{f.name: f.default for f in fields(trainer.TrainConfig) if f.name != "adam"},
+    **{f.name: f.default for f in fields(AdamConfig)},
+    "seed": DEFAULT_SEED,
+    "width": 1.0,
+    "val_fraction": 0.1,
+}
 
 STORE_FORMAT_HELP = (
     "episode store format (P2ABPDATA): 9-byte magic 'P2ABPDATA', u32 version (1), "
@@ -23,15 +33,11 @@ STORE_FORMAT_HELP = (
     "with one subject id form a recording that is cut into 1024-sample episodes."
 )
 
-PREDICTIONS_FORMAT_HELP = (
-    "predictions CSV columns: episode_index, subject_id, sbp_true, dbp_true, "
-    "map_true, sbp_pred, dbp_pred, map_pred, waveform_mae, sqi."
-)
+PREDICTIONS_FORMAT_HELP = f"predictions CSV columns: {', '.join(pipeline.PREDICTION_COLUMNS)}."
 
 CONFIG_FORMAT_HELP = (
     "config file: 'key = value' lines ('#' comments) mirroring the training fields: "
-    "epochs, batch_size, approx_loss, refine_loss, seed, learning_rate, beta1, beta2, "
-    "epsilon, bn_refresh_passes, width, val_fraction. Explicit command-line flags win."
+    f"{', '.join(SETTING_DEFAULTS)}. Explicit command-line flags win."
 )
 
 
@@ -42,15 +48,21 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, **kwargs):
-        return sub.add_parser(name, **kwargs)
+    def add_training_flags(p, out_help):
+        p.add_argument("--data", required=True, help="preprocessed training store")
+        p.add_argument("--out", required=True, help=out_help)
+        p.add_argument("--config", help="key = value config file")
+        p.add_argument("--width", type=float, help="filter-width multiplier (default 1.0)")
+        p.add_argument("--epochs", type=int, help="training epochs (default 100)")
+        p.add_argument("--batch-size", type=int, help="minibatch size (default 32)")
+        p.add_argument("--seed", type=int, help=f"random seed (default {DEFAULT_SEED})")
 
-    p = add_command("synth", help="generate a synthetic episode store", epilog=STORE_FORMAT_HELP)
+    p = sub.add_parser("synth", help="generate a synthetic episode store", epilog=STORE_FORMAT_HELP)
     p.add_argument("--n", type=int, required=True, help="number of episodes")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"random seed (default {DEFAULT_SEED})")
     p.add_argument("--out", required=True, help="output store path (.p2a)")
 
-    p = add_command(
+    p = sub.add_parser(
         "preprocess",
         help="wavelet-denoise and mean-normalize the PPG channel of a store",
         epilog=STORE_FORMAT_HELP,
@@ -58,7 +70,7 @@ def _build_parser():
     p.add_argument("--in", dest="input", required=True, help="input store (.p2a) or CSV (.csv)")
     p.add_argument("--out", required=True, help="output store path")
 
-    p = add_command(
+    p = sub.add_parser(
         "split",
         help="split a store into train/test (optionally bin-subsample first)",
         epilog="subsampling keeps min(round(fraction*n), cap) episodes per 10 mmHg "
@@ -73,38 +85,26 @@ def _build_parser():
     p.add_argument("--subsample-fraction", type=float, default=0.25, help="per-bin keep fraction (default 0.25)")
     p.add_argument("--subsample-cap", type=int, default=2500, help="per-bin cap (default 2500)")
 
-    p = add_command(
+    p = sub.add_parser(
         "train",
         help="train the approximation and refinement networks, write a bundle",
         epilog=CONFIG_FORMAT_HELP + " Outputs: <out>/approx.ckpt, <out>/refine.ckpt, "
         "<out>/meta.json, <out>/approx_history.csv, <out>/refine_history.csv.",
     )
-    p.add_argument("--data", required=True, help="preprocessed training store")
-    p.add_argument("--out", required=True, help="bundle output directory")
-    p.add_argument("--config", help="key = value config file")
-    p.add_argument("--width", type=float, default=None, help="filter-width multiplier (default 1.0)")
-    p.add_argument("--epochs", type=int, default=None, help="training epochs (default 100)")
-    p.add_argument("--batch-size", type=int, default=None, help="minibatch size (default 32)")
-    p.add_argument("--seed", type=int, default=None, help=f"random seed (default {DEFAULT_SEED})")
-    p.add_argument("--val-fraction", type=float, default=None, help="held-out fraction (default 0.1)")
-    p.add_argument("--bn-refresh", type=int, default=None, help="post-training stat passes")
+    add_training_flags(p, "bundle output directory")
+    p.add_argument("--val-fraction", type=float, help="held-out fraction (default 0.1)")
+    p.add_argument("--bn-refresh", dest="bn_refresh_passes", type=int, help="post-training stat passes")
 
-    p = add_command(
+    p = sub.add_parser(
         "cv",
         help="k-fold cross-validation; keeps the best fold's model",
         epilog=CONFIG_FORMAT_HELP,
     )
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True, help="output directory")
+    add_training_flags(p, "output directory")
     p.add_argument("--k", type=int, default=10, help="number of folds (default 10)")
     p.add_argument("--which", choices=("approx", "both"), default="approx")
-    p.add_argument("--config", help="key = value config file")
-    p.add_argument("--width", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None, help="training epochs (default 100)")
-    p.add_argument("--batch-size", type=int, default=None, help="minibatch size (default 32)")
-    p.add_argument("--seed", type=int, default=None, help=f"random seed (default {DEFAULT_SEED})")
 
-    p = add_command(
+    p = sub.add_parser(
         "infer",
         help="run the pipeline over a store, write predictions CSV",
         epilog=PREDICTIONS_FORMAT_HELP + " --dump-waveforms writes per-episode "
@@ -115,7 +115,7 @@ def _build_parser():
     p.add_argument("--out", required=True, help="predictions CSV path")
     p.add_argument("--dump-waveforms", help="directory for per-episode waveform CSVs")
 
-    p = add_command(
+    p = sub.add_parser(
         "evaluate",
         help="full evaluation battery over a predictions CSV",
         epilog=PREDICTIONS_FORMAT_HELP + " The JSON report carries MAE/STD, BHS "
@@ -128,7 +128,7 @@ def _build_parser():
     p.add_argument("--figures", help="directory for per-figure data CSVs")
     p.add_argument("--sqi-bins", type=int, default=10, help="quality-index buckets (default 10)")
 
-    p = add_command(
+    p = sub.add_parser(
         "gradcheck",
         help="finite-difference gradient report for both networks",
         epilog="exit 0 only if every parameter block stays below tolerance.",
@@ -139,7 +139,7 @@ def _build_parser():
     p.add_argument("--per-block", type=int, default=32, help="entries sampled per block (0 = all)")
     p.add_argument("--tolerance", type=float, default=1e-3, help="relative error gate (default 1e-3)")
 
-    p = add_command("stats", help="dataset statistics of a store", epilog=STORE_FORMAT_HELP)
+    p = sub.add_parser("stats", help="dataset statistics of a store", epilog=STORE_FORMAT_HELP)
     p.add_argument("data", help="episode store path")
 
     return parser
@@ -155,53 +155,19 @@ def _load_store(path):
 
 
 def _train_settings(args):
-    """defaults <- config file <- explicit flags."""
-    settings = {
-        "epochs": 100,
-        "batch_size": 32,
-        "approx_loss": "mae",
-        "refine_loss": "mse",
-        "seed": DEFAULT_SEED,
-        "learning_rate": 0.001,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "epsilon": 1e-8,
-        "bn_refresh_passes": 0,
-        "width": 1.0,
-        "val_fraction": 0.1,
-    }
-    casts = {k: type(v) for k, v in settings.items()}
-    if getattr(args, "config", None):
+    """defaults <- config file <- explicit flags (flag dests are the keys)."""
+    settings = dict(SETTING_DEFAULTS)
+    if args.config:
         for key, raw in trainer.parse_config_file(args.config).items():
             if key not in settings:
                 raise ValueError(f"unknown config key '{key}'")
-            settings[key] = casts[key](raw) if casts[key] is not str else raw
-    for flag, key in (
-        ("epochs", "epochs"),
-        ("batch_size", "batch_size"),
-        ("seed", "seed"),
-        ("width", "width"),
-        ("val_fraction", "val_fraction"),
-        ("bn_refresh", "bn_refresh_passes"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            settings[key] = value
-    config = trainer.TrainConfig(
-        epochs=settings["epochs"],
-        batch_size=settings["batch_size"],
-        approx_loss=settings["approx_loss"],
-        refine_loss=settings["refine_loss"],
-        adam=AdamConfig(
-            learning_rate=settings["learning_rate"],
-            beta1=settings["beta1"],
-            beta2=settings["beta2"],
-            epsilon=settings["epsilon"],
-        ),
-        seed=settings["seed"],
-        bn_refresh_passes=settings["bn_refresh_passes"],
-    ).validate()
-    return config, settings["width"], settings["val_fraction"]
+            settings[key] = type(settings[key])(raw)
+    for key in settings:
+        if getattr(args, key, None) is not None:
+            settings[key] = getattr(args, key)
+    adam = AdamConfig(**{f.name: settings.pop(f.name) for f in fields(AdamConfig)})
+    width, val_fraction = settings.pop("width"), settings.pop("val_fraction")
+    return trainer.TrainConfig(adam=adam, **settings).validate(), width, val_fraction
 
 
 def _cmd_synth(args):
@@ -310,7 +276,8 @@ def _cmd_infer(args):
 
 
 def _cmd_evaluate(args):
-    report = evalstats.evaluation_report(args.pred, sqi_bins=args.sqi_bins)
+    rows = evalstats.load_predictions(args.pred)
+    report = evalstats.evaluate(rows, sqi_bins=args.sqi_bins)
     with open(args.out, "w") as fh:
         fh.write(report.to_json())
         fh.write("\n")
@@ -319,7 +286,7 @@ def _cmd_evaluate(args):
             fh.write(report.to_text())
             fh.write("\n")
     if args.figures:
-        evalstats.write_figure_data(evalstats.load_predictions(args.pred), args.figures)
+        evalstats.write_figure_data(rows, args.figures)
     print(report.to_text())
     return 0
 
@@ -370,13 +337,11 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 1
     try:
         return _COMMANDS[args.command](args)
-    except (ContainerFormatError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        # ValueError covers ContainerFormatError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,6 +4,7 @@ Layout: magic bytes, u32 version, then a sequence of records. All integers
 are little-endian u32, all floating payloads little-endian float64.
 """
 
+import io
 import struct
 
 import numpy as np
@@ -60,12 +61,24 @@ def write_string(fh, text):
     fh.write(payload)
 
 
-def read_string(fh, context):
-    n = read_u32(fh, f"{context} length")
-    raw = fh.read(n)
-    if len(raw) != n:
+def bytes_left(fh):
+    """Bytes between the read position and the end of a seekable file."""
+    here = fh.tell()
+    end = fh.seek(0, io.SEEK_END)
+    fh.seek(here)
+    return end - here
+
+
+def _read_exact(fh, n, context):
+    """Read n bytes; a declared size past the end of the file fails before
+    any buffer of that size is requested."""
+    if n > bytes_left(fh):
         raise TruncatedContainerError(f"file truncated while reading {context}")
-    return raw.decode("utf-8")
+    return fh.read(n)
+
+
+def read_string(fh, context):
+    return _read_exact(fh, read_u32(fh, f"{context} length"), context).decode("utf-8")
 
 
 def write_f64_block(fh, values):
@@ -73,7 +86,4 @@ def write_f64_block(fh, values):
 
 
 def read_f64_block(fh, count, context):
-    raw = fh.read(8 * count)
-    if len(raw) != 8 * count:
-        raise TruncatedContainerError(f"file truncated while reading {context}")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    return np.frombuffer(_read_exact(fh, 8 * count, context), dtype="<f8").astype(np.float64)

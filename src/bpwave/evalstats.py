@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy import stats as scipy_stats
 
-from .pipeline import BPValues
+from .pipeline import PREDICTION_COLUMNS, BPValues
 
 QUANTITIES = ("dbp", "map", "sbp")
 BHS_THRESHOLDS_MMHG = (5.0, 10.0, 15.0)
@@ -370,17 +370,12 @@ class EvaluationReport:
 def load_predictions(path):
     """Parse the pipeline predictions CSV into row dicts; errors carry row numbers."""
     rows = []
-    numeric = [
-        "sbp_true", "dbp_true", "map_true",
-        "sbp_pred", "dbp_pred", "map_pred",
-        "waveform_mae", "sqi",
-    ]
+    numeric = PREDICTION_COLUMNS[2:]  # all but episode_index and subject_id
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        needed = set(numeric) | {"episode_index", "subject_id"}
-        if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
+        if reader.fieldnames is None or not set(PREDICTION_COLUMNS).issubset(reader.fieldnames):
             raise ValueError(
-                f"predictions CSV needs columns {sorted(needed)}, got {reader.fieldnames}"
+                f"predictions CSV needs columns {sorted(PREDICTION_COLUMNS)}, got {reader.fieldnames}"
             )
         for line, raw in enumerate(reader, start=2):
             row = {"episode_index": raw["episode_index"], "subject_id": raw["subject_id"]}
@@ -428,10 +423,6 @@ def evaluate(rows, sqi_bins=10):
         classification=classification_report(true_bp, pred_bp),
         sqi_buckets=sqi_error_analysis(rows, bins=sqi_bins),
     )
-
-
-def evaluation_report(predictions_csv, sqi_bins=10):
-    return evaluate(load_predictions(predictions_csv), sqi_bins=sqi_bins)
 
 
 # ------------------------------------------------------------ figure data files

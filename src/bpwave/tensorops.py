@@ -8,7 +8,7 @@ time. An infer-mode forward keeps nothing, and a backward after it raises
 ShapeError.
 """
 
-import struct
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -465,26 +465,10 @@ def read_checkpoint(path):
     entries = []
     with open(path, "rb") as fh:
         container.read_header(fh, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
-        while True:
-            probe = fh.read(4)
-            if probe == b"":
-                break
-            if len(probe) != 4:
-                raise container.TruncatedContainerError(
-                    f"checkpoint truncated at entry {len(entries)}"
-                )
-            name_len = struct.unpack("<I", probe)[0]
-            raw = fh.read(name_len)
-            if len(raw) != name_len:
-                raise container.TruncatedContainerError(
-                    f"checkpoint truncated at entry {len(entries)}"
-                )
-            name = raw.decode("utf-8")
+        while container.bytes_left(fh):
+            name = container.read_string(fh, f"checkpoint entry {len(entries)} name")
             rank = container.read_u32(fh, f"rank of '{name}'")
             shape = tuple(container.read_u32(fh, f"dims of '{name}'") for _ in range(rank))
-            count = 1
-            for dim in shape:
-                count *= dim
-            values = container.read_f64_block(fh, count, f"payload of '{name}'")
+            values = container.read_f64_block(fh, math.prod(shape), f"payload of '{name}'")
             entries.append((name, values.reshape(shape)))
     return entries

@@ -8,7 +8,6 @@ standard deviation before the first step, so the convolutional trunks
 learn in normalized units while losses and histories stay in mmHg.
 """
 
-import copy
 import csv
 from dataclasses import dataclass, field, replace
 
@@ -150,8 +149,9 @@ def train_network(network, train_store, val_store, config, which="approx", appro
     which="approx": inputs are the stored (preprocessed) PPG windows and the
     loss is deeply supervised. which="refine": inputs are frozen infer-mode
     predictions of approx_network on the stored PPG, plain loss on the final
-    output. The best-scoring weights (validation loss, or training loss when
-    no validation store is given) are restored into the network afterwards.
+    output (the same loss call with the single weight 1.0). The best-scoring
+    weights (validation loss, or training loss when no validation store is
+    given) are restored into the network afterwards.
     """
     config.validate()
     if which not in ("approx", "refine"):
@@ -161,16 +161,14 @@ def train_network(network, train_store, val_store, config, which="approx", appro
 
     x_train, y_train = episodes_to_arrays(train_store)
     x_val, y_val = episodes_to_arrays(val_store) if val_store is not None and len(val_store) else (None, None)
-    if which == "refine":
-        x_train = predict_batched(approx_network, x_train)
-        if x_val is not None:
-            x_val = predict_batched(approx_network, x_val)
-
     if which == "approx":
         base_loss = tensorops.LOSSES[config.approx_loss]
         weights = network.config.deep_supervision_weights
         calibrate_network(network, y_train)
     else:
+        x_train = predict_batched(approx_network, x_train)
+        if x_val is not None:
+            x_val = predict_batched(approx_network, x_val)
         base_loss = tensorops.LOSSES[config.refine_loss]
         weights = (1.0,)
         calibrate_network(network, y_train, inputs=x_train)
@@ -189,11 +187,7 @@ def train_network(network, train_store, val_store, config, which="approx", appro
         running = 0.0
         for batch_index, idx in enumerate(_batches(n, config.batch_size, rng)):
             out = network.forward(x_train[idx], mode="train")
-            if which == "approx":
-                total, g_final, g_aux = deep_supervised_loss(out, y_train[idx], weights, base_loss)
-            else:
-                total, g_final = base_loss(out.final, y_train[idx])
-                g_aux = None
+            total, g_final, g_aux = deep_supervised_loss(out, y_train[idx], weights, base_loss)
             if not np.isfinite(total):
                 raise NumericalError(
                     f"non-finite {which} loss at epoch {epoch}, batch {batch_index}"
@@ -214,7 +208,7 @@ def train_network(network, train_store, val_store, config, which="approx", appro
             best_epoch = epoch
             best_entries = [(name, arr.copy()) for name, arr in network.checkpoint_entries()]
 
-    network.load_state(copy.deepcopy(best_entries))
+    network.load_state(best_entries)
     if config.bn_refresh_passes:
         refresh_batchnorm_stats(network, x_train, config.bn_refresh_passes, config.batch_size)
         best_entries = [(name, arr.copy()) for name, arr in network.checkpoint_entries()]
@@ -353,46 +347,32 @@ def network_gradient_report(width=1 / 16, input_length=64, seed=0, per_block=32,
     """
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(2, 1, input_length))
-    reports = {}
-
     approx = models.build_unet1d(
         models.UNet1DConfig.scaled(width, input_length=input_length), seed=seed
     )
-    weights = approx.config.deep_supervision_weights
-    targets = [rng.normal(size=(2, 1, input_length >> k)) for k in range(approx.config.depth)]
-
-    def approx_forward():
-        out = approx.forward(x, mode="train")
-        outs = [out.final] + out.auxiliaries
-        return float(sum(w * mse_loss(o, t)[0] for o, t, w in zip(outs, targets, weights)))
-
-    out = approx.forward(x, mode="train")
-    outs = [out.final] + out.auxiliaries
-    grads = [w * mse_loss(o, t)[1] for o, t, w in zip(outs, targets, weights)]
-    grad_in = approx.backward(grads[0], grads[1:])
-    blocks = approx.param_blocks() + [("input", x, grad_in)]
-    reports["approximation"] = tensorops.gradcheck(
-        approx_forward, blocks, h=h, max_entries_per_block=per_block,
-        rng=np.random.default_rng(seed), refine_tol=tolerance,
-    )
-    approx.zero_grads()
-
     refine = models.build_multiresunet1d(
         models.MultiResUNet1DConfig.scaled(width, input_length=input_length), seed=seed
     )
-    target = rng.normal(size=(2, 1, input_length))
+    reports = {}
+    for name, network, weights in (
+        ("approximation", approx, approx.config.deep_supervision_weights),
+        ("refinement", refine, (1.0,)),
+    ):
+        targets = [rng.normal(size=(2, 1, input_length >> k)) for k in range(len(weights))]
 
-    def refine_forward():
-        return mse_loss(refine.forward(x, mode="train").final, target)[0]
+        def objective():
+            out = network.forward(x, mode="train")
+            terms = [mse_loss(o, t) for o, t in zip([out.final] + out.auxiliaries, targets)]
+            value = float(sum(w * v for w, (v, _) in zip(weights, terms)))
+            return value, [w * g for w, (_, g) in zip(weights, terms)]
 
-    value, grad = mse_loss(refine.forward(x, mode="train").final, target)
-    grad_in = refine.backward(grad)
-    blocks = refine.param_blocks() + [("input", x, grad_in)]
-    reports["refinement"] = tensorops.gradcheck(
-        refine_forward, blocks, h=h, max_entries_per_block=per_block,
-        rng=np.random.default_rng(seed), refine_tol=tolerance,
-    )
-    refine.zero_grads()
+        grads = objective()[1]
+        grad_in = network.backward(grads[0], grads[1:])
+        reports[name] = tensorops.gradcheck(
+            lambda: objective()[0], network.param_blocks() + [("input", x, grad_in)], h=h,
+            max_entries_per_block=per_block, rng=np.random.default_rng(seed), refine_tol=tolerance,
+        )
+        network.zero_grads()
     return reports
 
 

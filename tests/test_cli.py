@@ -1,10 +1,12 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from bpwave import datapipe
-from bpwave.cli import main
+from bpwave import datapipe, evalstats, trainer
+from bpwave.cli import _build_parser, _train_settings, main
+from bpwave.tensorops import AdamConfig
 
 
 def run(*argv):
@@ -208,3 +210,77 @@ def test_evaluate_constant_prediction_writes_strict_json(tmp_path):
     report = json.loads(out.read_text(), parse_constant=reject)
     assert report["sbp"]["agreement"]["pearson_r"] is None
     assert isinstance(report["dbp"]["agreement"]["pearson_r"], float)
+
+
+def train_settings(tmp_path, config_text, *flags):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(config_text)
+    args = _build_parser().parse_args(
+        ["train", "--data", "d.p2a", "--out", "o", "--config", str(cfg), *flags]
+    )
+    return _train_settings(args)
+
+
+def test_flag_beats_config_file_beats_default(tmp_path):
+    config, width, val_fraction = train_settings(
+        tmp_path,
+        "epochs = 7\nlearning_rate = 0.01\nbn_refresh_passes = 3\nwidth = 0.5\n",
+        "--epochs", "5", "--bn-refresh", "4", "--val-fraction", "0.2",
+    )
+    # flags win over the file, the file over the defaults; the CLI's seed is 1024
+    assert config == trainer.TrainConfig(
+        epochs=5, seed=1024, bn_refresh_passes=4, adam=AdamConfig(learning_rate=0.01)
+    )
+    assert (width, val_fraction) == (0.5, 0.2)
+
+
+def test_every_config_field_is_a_config_key(tmp_path):
+    defaults = trainer.TrainConfig()
+    lines = [f"{f.name} = {getattr(defaults, f.name)}" for f in fields(defaults) if f.name != "adam"]
+    lines += [f"{f.name} = {getattr(defaults.adam, f.name)}" for f in fields(AdamConfig)]
+    config, width, val_fraction = train_settings(tmp_path, "\n".join(lines) + "\n")
+    assert config == defaults
+    assert (width, val_fraction) == (1.0, 0.1)
+
+
+def test_unknown_config_key_exits_2(tmp_path, synth_store, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("epochs = 1\nfrobnicate = 3\n")
+    code = run("train", "--data", str(synth_store), "--out", str(tmp_path / "b"), "--config", str(cfg))
+    assert code == 2
+    assert "unknown config key 'frobnicate'" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
+def test_cv_smoke(tmp_path, synth_store):
+    out = tmp_path / "cv"
+    code = run(
+        "cv", "--data", str(synth_store), "--out", str(out), "--k", "2",
+        "--epochs", "1", "--width", "0.03125", "--batch-size", "8", "--seed", "3",
+    )
+    assert code == 0
+    for fold in (0, 1):
+        history = (out / f"fold{fold:02d}_approx_history.csv").read_text().splitlines()
+        assert history[0] == "epoch,train_loss,val_loss" and len(history) == 2
+    summary = (out / "cv_summary.csv").read_text().splitlines()
+    assert summary[0] == "fold,score,selected"
+    assert sorted(line.split(",")[2] for line in summary[1:]) == ["0", "1"]
+    assert (out / "best_approx.ckpt").exists()
+    assert not (out / "best_refine.ckpt").exists()
+
+
+def test_evaluate_parses_predictions_once(tmp_path, monkeypatch):
+    preds = tmp_path / "preds.csv"
+    lines = ["episode_index,subject_id,sbp_true,dbp_true,map_true,sbp_pred,dbp_pred,map_pred,waveform_mae,sqi"]
+    lines += [f"{i},s{i % 3},{120 + i},{80 - i},{95 + i},{121 + i},{79 - i},{96 + i},2.0,0.1" for i in range(6)]
+    preds.write_text("\n".join(lines) + "\n")
+    parsed = []
+    load = evalstats.load_predictions
+    monkeypatch.setattr(evalstats, "load_predictions", lambda path: parsed.append(path) or load(path))
+    code = run(
+        "evaluate", "--pred", str(preds), "--out", str(tmp_path / "r.json"),
+        "--figures", str(tmp_path / "figures"),
+    )
+    assert code == 0
+    assert parsed == [str(preds)]
+    assert (tmp_path / "figures" / "regression_map.csv").read_text().count("\n") == 7

@@ -1,8 +1,11 @@
+import io
+import struct
+
 import numpy as np
 import pytest
 from _gradutils import linear_probe_check, loop_corr_same, loop_transposed, loop_transposed_grads
 
-from bpwave import tensorops
+from bpwave import container, tensorops
 from bpwave.container import BadMagicError, BadVersionError, TruncatedContainerError
 from bpwave.tensorops import (
     Adam,
@@ -480,3 +483,62 @@ def test_checkpoint_truncation(tmp_path):
     path.write_bytes(raw[:-5])
     with pytest.raises(TruncatedContainerError):
         read_checkpoint(path)
+
+
+class RecordingReader(io.BytesIO):
+    """In-memory file that records the size of every read it is asked for."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.requests = []
+
+    def read(self, size=-1):
+        self.requests.append(size)
+        return super().read(size)
+
+
+def test_declared_sizes_past_the_end_fail_before_reading():
+    too_long_name = struct.pack("<I", 2**32 - 1) + b"abc"
+    reader = RecordingReader(too_long_name)
+    with pytest.raises(TruncatedContainerError, match="subject id"):
+        container.read_string(reader, "subject id")
+    assert max(reader.requests) <= len(too_long_name)
+
+    reader = RecordingReader(b"\x00" * 24)
+    with pytest.raises(TruncatedContainerError, match="payload"):
+        container.read_f64_block(reader, 2**40, "payload")
+    assert reader.requests == []
+    assert container.read_f64_block(reader, 3, "payload").tolist() == [0.0, 0.0, 0.0]
+
+
+def test_checkpoint_declared_dims_past_the_end_fail_before_reading(monkeypatch):
+    raw = io.BytesIO()
+    container.write_header(raw, tensorops.CHECKPOINT_MAGIC, tensorops.CHECKPOINT_VERSION)
+    container.write_string(raw, "w")
+    for value in (2, 2**31, 2**31):  # rank 2, then a payload of 2**65 bytes
+        container.write_u32(raw, value)
+    raw.write(b"\x00" * 16)
+    readers = []
+
+    def fake_open(path, mode):
+        readers.append(RecordingReader(raw.getvalue()))
+        return readers[-1]
+
+    monkeypatch.setattr(tensorops, "open", fake_open, raising=False)
+    with pytest.raises(TruncatedContainerError, match="payload of 'w'"):
+        read_checkpoint("w.ckpt")
+    assert max(readers[0].requests) <= len(raw.getvalue())
+
+
+def test_checkpoint_reads_entries_up_to_the_end(tmp_path, monkeypatch):
+    path = tmp_path / "two.ckpt"
+    entries = [("a", np.arange(6.0).reshape(2, 3)), ("bee", np.array(2.5))]
+    write_checkpoint(path, entries)
+    data = path.read_bytes()
+    reader = RecordingReader(data)
+    monkeypatch.setattr(tensorops, "open", lambda p, mode: reader, raising=False)
+    back = read_checkpoint("two.ckpt")
+    assert [name for name, _ in back] == ["a", "bee"]
+    for (_, got), (_, want) in zip(back, entries):
+        np.testing.assert_array_equal(got, want)
+    assert max(reader.requests) <= len(data)

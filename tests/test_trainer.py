@@ -220,6 +220,31 @@ def test_validation_tracked_and_best_restored(small_store):
     assert abs(loss_now - result.best_score) < 1e-12
 
 
+def test_bn_refresh_moves_only_running_statistics(small_store):
+    """Refresh passes re-estimate the BatchNorm running statistics from the
+    restored best weights; no weight, gamma or beta moves, and the result's
+    best_entries carry the refreshed statistics."""
+    results = {}
+    for passes in (0, 2):
+        config = TrainConfig(epochs=2, batch_size=4, seed=3, bn_refresh_passes=passes)
+        net = tiny_unet(seed=3)
+        results[passes] = (net, train_network(net, small_store, None, config, which="approx"))
+    (plain_net, plain), (fresh_net, fresh) = results[0], results[2]
+    assert [(h.train_loss, h.val_loss) for h in fresh.history] == [
+        (h.train_loss, h.val_loss) for h in plain.history
+    ]
+    stats_moved = 0
+    for (name, before), (other, after) in zip(plain.best_entries, fresh.best_entries):
+        assert name == other
+        if name.endswith(("running_mean", "running_var")):
+            stats_moved += not np.array_equal(before, after)
+        else:
+            np.testing.assert_array_equal(after, before, err_msg=name)
+    assert stats_moved > 0
+    for (name, held), (_, live) in zip(fresh.best_entries, fresh_net.checkpoint_entries()):
+        np.testing.assert_array_equal(held, live, err_msg=name)
+
+
 def test_history_csv_roundtrip(tmp_path, small_store):
     config = TrainConfig(epochs=3, batch_size=8, seed=0)
     net = tiny_unet(seed=0)
