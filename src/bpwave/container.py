@@ -69,16 +69,17 @@ def bytes_left(fh):
     return end - here
 
 
-def _read_exact(fh, n, context):
-    """Read n bytes; a declared size past the end of the file fails before
-    any buffer of that size is requested."""
+def _check_declared(fh, n, context):
+    """A declared size past the end of the file fails before any buffer of
+    that size is requested."""
     if n > bytes_left(fh):
         raise TruncatedContainerError(f"file truncated while reading {context}")
-    return fh.read(n)
 
 
 def read_string(fh, context):
-    return _read_exact(fh, read_u32(fh, f"{context} length"), context).decode("utf-8")
+    n = read_u32(fh, f"{context} length")
+    _check_declared(fh, n, context)
+    return fh.read(n).decode("utf-8")
 
 
 def write_f64_block(fh, values):
@@ -86,4 +87,9 @@ def write_f64_block(fh, values):
 
 
 def read_f64_block(fh, count, context):
-    return np.frombuffer(_read_exact(fh, 8 * count, context), dtype="<f8").astype(np.float64)
+    """A fresh, writable float64 array, read from the file straight into its memory."""
+    _check_declared(fh, 8 * count, context)
+    values = np.empty(count, dtype="<f8")
+    if fh.readinto(values) != values.nbytes:
+        raise TruncatedContainerError(f"file truncated while reading {context}")
+    return values

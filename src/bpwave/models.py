@@ -245,6 +245,9 @@ class _UShapedNetwork:
     deepest first, final head): changing it changes every seeded weight,
     and tests/test_models.py pins the resulting checkpoint entries.
 
+    With seed None nothing is drawn: the conv weights are left unfilled
+    (np.empty), a skeleton for load_state to fill, as a bundle load does.
+
     Each subclass binds _forward and _backward as its own forward and
     backward, so per-network timing (perfbench/bench_trace.py) can wrap
     them class by class.
@@ -255,7 +258,7 @@ class _UShapedNetwork:
     def __init__(self, config, seed):
         self.config = config.validate()
         self.set_calibration()
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         levels = config.depth - 1
         self.enc, self.skips, self.pools = [], [], []
         ch = 1
@@ -333,23 +336,24 @@ class _UShapedNetwork:
         return entries
 
     def load_state(self, entries):
+        """Check every entry's name and shape and make its array the layer's own.
+
+        The arrays are taken, not copied (see _StatefulLayer.take_state): a
+        caller that keeps using its entries passes copies.
+        """
         table = dict(entries)
         for layer in self._layers():
-            for name, value in layer.state_entries():
-                if name not in table:
-                    raise ValueError(f"checkpoint is missing entry '{name}'")
-                incoming = table.pop(name)
-                if incoming.shape != value.shape:
-                    raise ValueError(
-                        f"checkpoint entry '{name}' has shape {incoming.shape}, "
-                        f"expected {value.shape}"
-                    )
-                value[:] = incoming
+            layer.take_state(table)
+        calibration = {}
         for attr in ("input_scale", "input_offset", "output_scale", "output_offset"):
             key = f"calibration.{attr}"
             if key not in table:
                 raise ValueError(f"checkpoint is missing entry '{key}'")
-            setattr(self, attr, float(table.pop(key)))
+            value = table.pop(key)
+            if np.shape(value) != ():
+                raise ValueError(f"checkpoint entry '{key}' has shape {np.shape(value)}, expected ()")
+            calibration[attr] = float(value)
+        self.set_calibration(**calibration)
         if table:
             raise ValueError(f"checkpoint has unexpected entries: {sorted(table)}")
 
@@ -414,6 +418,7 @@ class UNet1D(_UShapedNetwork):
     deeply_supervised = True
 
     def __init__(self, config=None, seed=0):
+        """seed None builds an unfilled skeleton for load_state (see _UShapedNetwork)."""
         super().__init__(config or UNet1DConfig(), seed)
 
     def _block(self, name, in_ch, level, rng):
@@ -431,6 +436,7 @@ class MultiResUNet1D(_UShapedNetwork):
     """1D MultiResUNet: the waveform refiner. Single output, no deep supervision."""
 
     def __init__(self, config=None, seed=0):
+        """seed None builds an unfilled skeleton for load_state (see _UShapedNetwork)."""
         super().__init__(config or MultiResUNet1DConfig(), seed)
 
     def _block(self, name, in_ch, level, rng):

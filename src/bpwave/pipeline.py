@@ -91,22 +91,52 @@ def save_bundle(bundle, directory):
     trainer.save_checkpoint(bundle.refine_network, os.path.join(directory, BUNDLE_REFINE))
 
 
-def load_bundle(directory):
+def _is_positive_int(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+
+
+def _read_meta(directory):
+    """meta.json, with every key load_bundle reads checked for presence and type."""
     with open(os.path.join(directory, BUNDLE_META)) as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{BUNDLE_META} must hold a JSON object, got {type(meta).__name__}")
     if meta.get("format_version") != BUNDLE_VERSION:
         raise ValueError(f"unsupported bundle version {meta.get('format_version')}")
+    fs = meta.get("fs")
+    if not isinstance(fs, (int, float)) or isinstance(fs, bool):
+        raise ValueError(f"{BUNDLE_META}: 'fs' must be a number")
+    if not isinstance(meta.get("preprocess", True), bool):
+        raise ValueError(f"{BUNDLE_META}: 'preprocess' must be true or false")
+    for stage, widths in (("approx", "filters_per_level"), ("refine", "base_widths")):
+        part = meta.get(stage)
+        if not isinstance(part, dict):
+            raise ValueError(f"{BUNDLE_META}: '{stage}' must be an object")
+        if not isinstance(part.get(widths), list) or not all(map(_is_positive_int, part[widths])):
+            raise ValueError(f"{BUNDLE_META}: '{stage}.{widths}' must be a list of positive integers")
+        if not _is_positive_int(part.get("input_length")):
+            raise ValueError(f"{BUNDLE_META}: '{stage}.input_length' must be a positive integer")
+    return meta
+
+
+def load_bundle(directory):
+    """Build both networks without drawing any weights, then fill them from
+    their checkpoints: each weight is written once, by the file read, into
+    the array the layer keeps."""
+    meta = _read_meta(directory)
     approx = models.build_unet1d(
         models.UNet1DConfig(
             filters_per_level=tuple(meta["approx"]["filters_per_level"]),
             input_length=meta["approx"]["input_length"],
-        )
+        ),
+        seed=None,
     )
     refine = models.build_multiresunet1d(
         models.MultiResUNet1DConfig(
             base_widths=tuple(meta["refine"]["base_widths"]),
             input_length=meta["refine"]["input_length"],
-        )
+        ),
+        seed=None,
     )
     trainer.load_checkpoint(approx, os.path.join(directory, BUNDLE_APPROX))
     trainer.load_checkpoint(refine, os.path.join(directory, BUNDLE_REFINE))

@@ -40,12 +40,15 @@ def _window_stack(x, k):
     if k == 1:
         return x
     b, c, length = x.shape
-    cols = np.zeros((b, c, k, length))
+    cols = np.empty((b, c, k, length))
     for t in range(k):
         s = t - k // 2
-        lo, hi = max(0, -s), min(length, length - s)
-        if lo < hi:
-            cols[:, :, t, lo:hi] = x[:, :, lo + s : hi + s]
+        # valid columns [lo, hi), clamped so the two pad slices stay in range
+        lo = min(length, max(0, -s))
+        hi = max(lo, min(length, length - s))
+        cols[:, :, t, :lo] = 0.0
+        cols[:, :, t, hi:] = 0.0
+        cols[:, :, t, lo:hi] = x[:, :, lo + s : hi + s]
     return cols.reshape(b, c * k, length)
 
 
@@ -60,8 +63,56 @@ def _corr_same(x, weight):
     return weight.reshape(out_ch, c * k) @ _window_stack(x, k)
 
 
-class Conv1d:
-    """Stride-1 cross-correlation with zero same-padding and odd kernel."""
+class _StatefulLayer:
+    """Named arrays of a layer: learned params, each with a <param>_grad
+    buffer, and non-learned buffers; both go into checkpoints."""
+
+    params = ()
+    buffers = ()
+
+    def param_blocks(self):
+        return [(f"{self.name}.{a}", getattr(self, a), getattr(self, f"{a}_grad")) for a in self.params]
+
+    def state_entries(self):
+        return [(f"{self.name}.{a}", getattr(self, a)) for a in self.params + self.buffers]
+
+    def take_state(self, table):
+        """Pop this layer's entries from the name -> array table and keep them
+        as its own arrays, without a copy, once each name and shape checks out.
+
+        The caller hands the arrays over and must not use them again. One that
+        is not C-contiguous, writable float64 is copied into one that is.
+        """
+        for attr in self.params + self.buffers:
+            name = f"{self.name}.{attr}"
+            if name not in table:
+                raise ValueError(f"checkpoint is missing entry '{name}'")
+            incoming = table.pop(name)
+            expected = getattr(self, attr).shape
+            if incoming.shape != expected:
+                raise ValueError(
+                    f"checkpoint entry '{name}' has shape {incoming.shape}, expected {expected}"
+                )
+            setattr(self, attr, np.require(incoming, np.float64, ["C", "W"]))
+
+
+def _he_weight(rng, shape, fan_in, init):
+    """He-scaled normal weights ("relu") or unit-gain ones ("linear"); with
+    rng None, an unfilled array of the same shape for a load to replace."""
+    if rng is None:
+        return np.empty(shape)
+    std = np.sqrt((2.0 if init == "relu" else 1.0) / fan_in)
+    return rng.normal(0.0, std, size=shape)
+
+
+class Conv1d(_StatefulLayer):
+    """Stride-1 cross-correlation with zero same-padding and odd kernel.
+
+    With rng None the weight is left unfilled (np.empty) and no number is
+    drawn: the skeleton a checkpoint load fills.
+    """
+
+    params = ("weight", "bias")
 
     def __init__(self, name, in_channels, out_channels, kernel_size, rng, init="relu"):
         if kernel_size % 2 != 1:
@@ -70,9 +121,9 @@ class Conv1d:
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
-        fan_in = in_channels * kernel_size
-        std = np.sqrt((2.0 if init == "relu" else 1.0) / fan_in)
-        self.weight = rng.normal(0.0, std, size=(out_channels, in_channels, kernel_size))
+        self.weight = _he_weight(
+            rng, (out_channels, in_channels, kernel_size), in_channels * kernel_size, init
+        )
         self.bias = np.zeros(out_channels)
         # np.zeros, unlike np.zeros_like, leaves a large buffer's fresh pages
         # untouched until a backward writes them: infer-only use never pays for them
@@ -99,20 +150,16 @@ class Conv1d:
         w_t = self.weight[:, :, ::-1].transpose(1, 0, 2)
         return _corr_same(grad_out, w_t)
 
-    def param_blocks(self):
-        return [
-            (f"{self.name}.weight", self.weight, self.weight_grad),
-            (f"{self.name}.bias", self.bias, self.bias_grad),
-        ]
 
-    def state_entries(self):
-        return [(f"{self.name}.weight", self.weight), (f"{self.name}.bias", self.bias)]
+class TransposedConv1d(_StatefulLayer):
+    """Fractionally-strided convolution: doubles the length (stride fixed at 2).
 
-
-class TransposedConv1d:
-    """Fractionally-strided convolution: doubles the length (stride fixed at 2)."""
+    With rng None the weight is left unfilled (np.empty) and no number is
+    drawn: the skeleton a checkpoint load fills.
+    """
 
     stride = 2
+    params = ("weight", "bias")
 
     def __init__(self, name, in_channels, out_channels, kernel_size, rng, init="relu"):
         if kernel_size % 2 != 0:
@@ -121,9 +168,12 @@ class TransposedConv1d:
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
-        fan_in = in_channels * kernel_size // self.stride
-        std = np.sqrt((2.0 if init == "relu" else 1.0) / fan_in)
-        self.weight = rng.normal(0.0, std, size=(out_channels, in_channels, kernel_size))
+        self.weight = _he_weight(
+            rng,
+            (out_channels, in_channels, kernel_size),
+            in_channels * kernel_size // self.stride,
+            init,
+        )
         self.bias = np.zeros(out_channels)
         self.weight_grad = np.zeros(self.weight.shape)
         self.bias_grad = np.zeros(out_channels)
@@ -172,15 +222,6 @@ class TransposedConv1d:
         self.bias_grad += grad_out.sum(axis=(0, 2))
         return (self._tap_matrix().T @ g_taps).reshape(c, b, length).transpose(1, 0, 2)
 
-    def param_blocks(self):
-        return [
-            (f"{self.name}.weight", self.weight, self.weight_grad),
-            (f"{self.name}.bias", self.bias, self.bias_grad),
-        ]
-
-    def state_entries(self):
-        return [(f"{self.name}.weight", self.weight), (f"{self.name}.bias", self.bias)]
-
 
 class MaxPool1d:
     """Non-overlapping max pooling; ties resolve to the earliest index."""
@@ -209,8 +250,11 @@ class MaxPool1d:
         return grad_in.reshape(b, c, pooled * self.window)
 
 
-class BatchNorm1d:
+class BatchNorm1d(_StatefulLayer):
     """Per-channel normalization over (batch x length) with running statistics."""
+
+    params = ("gamma", "beta")
+    buffers = ("running_mean", "running_var")
 
     def __init__(self, name, channels, eps=1e-5, momentum=0.99):
         self.name = name
@@ -255,20 +299,6 @@ class BatchNorm1d:
         g_mean = grad_out.mean(axis=(0, 2), keepdims=True)
         gx_mean = (grad_out * x_hat).mean(axis=(0, 2), keepdims=True)
         return scale * (grad_out - g_mean - x_hat * gx_mean)
-
-    def param_blocks(self):
-        return [
-            (f"{self.name}.gamma", self.gamma, self.gamma_grad),
-            (f"{self.name}.beta", self.beta, self.beta_grad),
-        ]
-
-    def state_entries(self):
-        return [
-            (f"{self.name}.gamma", self.gamma),
-            (f"{self.name}.beta", self.beta),
-            (f"{self.name}.running_mean", self.running_mean),
-            (f"{self.name}.running_var", self.running_var),
-        ]
 
 
 class ReLU:

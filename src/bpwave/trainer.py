@@ -211,7 +211,8 @@ def train_network(network, train_store, val_store, config, which="approx", appro
     network.load_state(best_entries)
     if config.bn_refresh_passes:
         refresh_batchnorm_stats(network, x_train, config.bn_refresh_passes, config.batch_size)
-        best_entries = [(name, arr.copy()) for name, arr in network.checkpoint_entries()]
+    # load_state took best_entries' arrays as the live weights; hand back copies
+    best_entries = [(name, arr.copy()) for name, arr in network.checkpoint_entries()]
     return TrainResult(
         history=history, best_epoch=best_epoch, best_score=best_score, best_entries=best_entries
     )

@@ -60,6 +60,35 @@ def test_corrupt_store_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _meta_without_refine(meta):
+    del meta["refine"]
+    return meta
+
+
+def _meta_with_string_length(meta):
+    meta["approx"]["input_length"] = "1024"
+    return meta
+
+
+@pytest.mark.parametrize(
+    "malform",
+    [_meta_without_refine, lambda meta: [meta], _meta_with_string_length],
+    ids=["missing-refine", "top-level-list", "string-input-length"],
+)
+def test_infer_with_malformed_bundle_meta_exits_2(tmp_path, synth_store, capsys, malform):
+    meta = {
+        "format_version": 1,
+        "fs": 125.0,
+        "preprocess": True,
+        "approx": {"filters_per_level": [4, 8, 16, 32, 64], "input_length": 1024},
+        "refine": {"base_widths": [2, 4, 8, 16, 32], "input_length": 1024},
+    }
+    (tmp_path / "meta.json").write_text(json.dumps(malform(meta)))
+    argv = ("infer", "--bundle", str(tmp_path), "--data", str(synth_store), "--out", str(tmp_path / "p.csv"))
+    assert run(*argv) == 2
+    assert "meta.json" in capsys.readouterr().err
+
+
 def test_preprocess_and_split(synth_store, tmp_path):
     prep = tmp_path / "prep.p2a"
     assert run("preprocess", "--in", str(synth_store), "--out", str(prep)) == 0

@@ -226,6 +226,31 @@ def test_checkpoint_layout_is_pinned():
     assert checkpoint_digest(multires) == PINNED_CHECKPOINT_DIGESTS["multires"]
 
 
+@pytest.mark.parametrize(
+    "build, config",
+    [(build_unet1d, UNet1DConfig), (build_multiresunet1d, MultiResUNet1DConfig)],
+)
+def test_unseeded_skeleton_draws_nothing_and_keeps_the_loaded_arrays(build, config, monkeypatch):
+    cfg = config.scaled(1 / 16, input_length=64)
+    seeded = build(cfg, seed=0)
+    entries = [(name, arr.copy()) for name, arr in seeded.checkpoint_entries()]
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("an unseeded skeleton must not create a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    skeleton = build(cfg, seed=None)
+    skeleton.load_state(entries)
+    for (name, given), (kept_name, kept) in zip(entries, skeleton.checkpoint_entries()):
+        assert kept_name == name
+        if not name.startswith("calibration."):
+            assert kept is given, name
+    x = np.linspace(-1.0, 1.0, 64)[None, None, :]
+    np.testing.assert_array_equal(
+        skeleton.forward(x, mode="infer").final, seeded.forward(x, mode="infer").final
+    )
+
+
 SAVED_STATE = ("_x", "_mask", "_argmax", "_x_hat", "_inv_std")
 
 

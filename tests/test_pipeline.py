@@ -1,3 +1,6 @@
+import re
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -5,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpwave import datapipe, evalstats, models, pipeline
+from bpwave import datapipe, evalstats, models, pipeline, tensorops
 from bpwave.models import NetworkOutput
 from bpwave.pipeline import (
     PipelineBundle,
@@ -256,6 +259,81 @@ def test_bundle_version_check(tmp_path):
     meta.write_text(meta.read_text().replace('"format_version": 1', '"format_version": 9'))
     with pytest.raises(ValueError):
         load_bundle(tmp_path / "bundle")
+
+
+def test_load_bundle_draws_no_weights(tmp_path, monkeypatch):
+    bundle = tiny_bundle(seed=16)
+    save_bundle(bundle, tmp_path)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("load_bundle must not create a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    loaded = load_bundle(tmp_path)
+    for original, network in ((bundle.approx_network, loaded.approx_network),
+                              (bundle.refine_network, loaded.refine_network)):
+        for (name, want), (_, got) in zip(original.checkpoint_entries(), network.checkpoint_entries()):
+            assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "edit, name",
+    [
+        (lambda entries: [e for e in entries if e[0] != "enc0.a.conv.weight"], "enc0.a.conv.weight"),
+        (lambda entries: entries + [("stray.weight", np.zeros(3))], "stray.weight"),
+        (
+            lambda entries: [
+                (n, np.zeros(a.shape[:-1] + (a.shape[-1] + 1,)) if n == "dec0.up.weight" else a)
+                for n, a in entries
+            ],
+            "dec0.up.weight",
+        ),
+        (
+            lambda entries: [
+                (n, np.ones(2) if n == "calibration.output_scale" else a) for n, a in entries
+            ],
+            "calibration.output_scale",
+        ),
+    ],
+    ids=["missing", "extra", "wrong-shape", "calibration-not-scalar"],
+)
+def test_load_bundle_rejects_checkpoint_entries_by_name(tmp_path, edit, name):
+    save_bundle(tiny_bundle(seed=8), tmp_path)
+    path = tmp_path / pipeline.BUNDLE_APPROX
+    tensorops.write_checkpoint(path, edit(tensorops.read_checkpoint(path)))
+    with pytest.raises(ValueError, match=re.escape(name)):
+        load_bundle(tmp_path)
+
+
+def test_loaded_bundle_serves_concurrent_callers_bitwise(tmp_path):
+    save_bundle(tiny_bundle(seed=14), tmp_path)
+    bundle = load_bundle(tmp_path)
+    store = datapipe.synth_generate(6, seed=15)
+    expected, failures = batch_predict(bundle, store)
+    assert failures == [] and len(expected) == 6
+
+    results = [None] * 4
+
+    def serve(slot):
+        results[slot] = batch_predict(bundle, store)
+
+    threads = [threading.Thread(target=serve, args=(slot,)) for slot in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for rows, failures in results:
+        assert failures == []
+        assert [r.index for r in rows] == [r.index for r in expected]
+        for row, want in zip(rows, expected):
+            assert row.pred_abp.tobytes() == want.pred_abp.tobytes()
+            assert row.pred_bp == want.pred_bp and row.waveform_mae == want.waveform_mae
 
 
 # ----------------------------------------------------------------- csv output

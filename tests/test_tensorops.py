@@ -486,7 +486,8 @@ def test_checkpoint_truncation(tmp_path):
 
 
 class RecordingReader(io.BytesIO):
-    """In-memory file that records the size of every read it is asked for."""
+    """In-memory file that records the size of every read it is asked for,
+    by read(size) or by readinto(buffer)."""
 
     def __init__(self, data):
         super().__init__(data)
@@ -495,6 +496,10 @@ class RecordingReader(io.BytesIO):
     def read(self, size=-1):
         self.requests.append(size)
         return super().read(size)
+
+    def readinto(self, buffer):
+        self.requests.append(memoryview(buffer).nbytes)
+        return super().readinto(buffer)
 
 
 def test_declared_sizes_past_the_end_fail_before_reading():
@@ -542,3 +547,24 @@ def test_checkpoint_reads_entries_up_to_the_end(tmp_path, monkeypatch):
     for (_, got), (_, want) in zip(back, entries):
         np.testing.assert_array_equal(got, want)
     assert max(reader.requests) <= len(data)
+
+
+def test_f64_block_is_read_into_a_fresh_writable_array():
+    reader = RecordingReader(np.arange(4.0).tobytes())
+    values = container.read_f64_block(reader, 4, "payload")
+    assert reader.requests == [32]
+    assert values.dtype == np.float64 and values.flags.writeable and values.flags.c_contiguous
+    assert values.tolist() == [0.0, 1.0, 2.0, 3.0]
+    values += 1.0  # the array is the caller's own, not a view of a bytes object
+
+
+class ShortReader(io.BytesIO):
+    """A file whose size promises more bytes than readinto delivers."""
+
+    def readinto(self, buffer):
+        return super().readinto(memoryview(buffer).cast("B")[:-1])
+
+
+def test_short_read_raises_truncated():
+    with pytest.raises(TruncatedContainerError, match="payload"):
+        container.read_f64_block(ShortReader(b"\x00" * 16), 2, "payload")

@@ -245,6 +245,16 @@ def test_bn_refresh_moves_only_running_statistics(small_store):
         np.testing.assert_array_equal(held, live, err_msg=name)
 
 
+@pytest.mark.parametrize("passes", [0, 2])
+def test_best_entries_share_no_memory_with_the_live_network(small_store, passes):
+    config = TrainConfig(epochs=2, batch_size=4, seed=5, bn_refresh_passes=passes)
+    net = tiny_unet(seed=5)
+    result = train_network(net, small_store, None, config, which="approx")
+    live = [arr for _, arr in net.checkpoint_entries()]
+    for name, held in result.best_entries:
+        assert not any(np.shares_memory(held, arr) for arr in live), name
+
+
 def test_history_csv_roundtrip(tmp_path, small_store):
     config = TrainConfig(epochs=3, batch_size=8, seed=0)
     net = tiny_unet(seed=0)
@@ -310,6 +320,26 @@ def test_checkpoint_roundtrip_preserves_forward(tmp_path):
     np.testing.assert_array_equal(other.forward(x, mode="infer").final, before)
 
 
+def test_loaded_checkpoint_trains(tmp_path):
+    """A checkpoint read into an unseeded skeleton gives arrays a train step can
+    update in place (a read-only view of the file's bytes would not)."""
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(tiny_unet(seed=6, length=64), path)
+    net = models.build_unet1d(UNet1DConfig.scaled(1 / 16, input_length=64), seed=None)
+    load_checkpoint(net, path)
+    before = {name: p.copy() for name, p, _ in net.param_blocks()}
+    x = np.random.default_rng(1).normal(size=(2, 1, 64))
+    out = net.forward(x, mode="train")
+    _, g_final, g_aux = deep_supervised_loss(
+        out, x + 1.0, net.config.deep_supervision_weights, mae_loss
+    )
+    net.backward(g_final, g_aux)
+    tensorops.Adam().step(net.param_blocks())
+    for name, p, _ in net.param_blocks():
+        if name.endswith("conv.weight"):
+            assert not np.array_equal(p, before[name]), name
+
+
 def test_checkpoint_shape_mismatch_names_layer(tmp_path):
     net = tiny_unet(seed=0, length=64)
     path = tmp_path / "net.ckpt"
@@ -317,6 +347,17 @@ def test_checkpoint_shape_mismatch_names_layer(tmp_path):
     wrong = models.build_unet1d(UNet1DConfig.scaled(1 / 8, input_length=64))
     with pytest.raises(ValueError, match="enc0"):
         load_checkpoint(wrong, path)
+
+
+def test_checkpoint_with_a_zero_calibration_scale_is_rejected(tmp_path):
+    path = tmp_path / "net.ckpt"
+    entries = [
+        (name, np.array(0.0) if name == "calibration.input_scale" else arr)
+        for name, arr in tiny_unet(seed=0, length=64).checkpoint_entries()
+    ]
+    tensorops.write_checkpoint(path, entries)
+    with pytest.raises(ValueError, match="non-zero"):
+        load_checkpoint(tiny_unet(seed=1, length=64), path)
 
 
 def test_checkpoint_byte_size_oracle(tmp_path):
