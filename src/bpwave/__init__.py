@@ -5,9 +5,9 @@ Submodules
 sigproc    wavelet denoising, normalization, signal quality index
 tensorops  differentiable 1D layers, losses, Adam, gradient checking
 models     the approximation (U-Net) and refinement (MultiResUNet) networks
-datapipe   episode extraction, binning/subsampling, storage, synthesis
+datapipe   episode extraction, SBP/DBP/MAP extraction, binning, storage, synthesis
 trainer    loss assembly, training loops, cross-validation, checkpoints
-pipeline   end-to-end inference and SBP/DBP/MAP extraction
+pipeline   end-to-end inference, bundles and prediction tables
 evalstats  BHS/AAMI grading, agreement statistics, classification reports
 cli        command-line entry point
 """

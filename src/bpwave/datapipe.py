@@ -8,7 +8,7 @@ externally prepared signals.
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -20,6 +20,26 @@ EPISODE_SAMPLES = 1024
 STORE_FS = 125.0
 ABP_SANITY_MMHG = (20.0, 300.0)
 BIN_WIDTH_MMHG = 10.0
+
+
+@dataclass(frozen=True)
+class BPValues:
+    sbp: float
+    dbp: float
+    map: float
+
+
+def extract_bp(abp):
+    """SBP/DBP/MAP as the max/min/mean of the pressure window."""
+    abp = np.asarray(abp, dtype=np.float64)
+    if abp.size == 0:
+        raise ValueError("cannot extract blood pressure from an empty signal")
+    sbp = float(abp.max())
+    dbp = float(abp.min())
+    # rounding in the mean can stray one ulp outside [min, max]; the
+    # ordering dbp <= map <= sbp is a declared invariant, so pin it
+    mean = min(max(float(abp.mean()), dbp), sbp)
+    return BPValues(sbp=sbp, dbp=dbp, map=mean)
 
 
 @dataclass
@@ -45,10 +65,6 @@ class EpisodeRecord:
                 f"[{self.abp.min():.1f}, {self.abp.max():.1f}]"
             )
         return self
-
-    def bp_triple(self):
-        """Ground-truth (sbp, dbp, map) via the whole-window extraction rules."""
-        return float(self.abp.max()), float(self.abp.min()), float(self.abp.mean())
 
 
 @dataclass
@@ -120,8 +136,8 @@ def bin_and_subsample(store, fraction=0.25, cap=2500, seed=0):
     """Per (SBP, DBP) bin, keep round(fraction*n) episodes, at most cap."""
     bins = {}
     for i, rec in enumerate(store):
-        sbp, dbp, _ = rec.bp_triple()
-        bins.setdefault(bin_key(sbp, dbp), []).append(i)
+        bp = extract_bp(rec.abp)
+        bins.setdefault(bin_key(bp.sbp, bp.dbp), []).append(i)
     rng = np.random.default_rng(seed)
     chosen = []
     for key in sorted(bins):
@@ -304,7 +320,7 @@ def dataset_stats(store):
     """Min/max/mean/std of ground-truth SBP, DBP and MAP over the store."""
     if len(store) == 0:
         raise ValueError("cannot compute statistics of an empty store")
-    triples = np.array([rec.bp_triple() for rec in store])  # columns: sbp, dbp, map
+    triples = np.array([astuple(extract_bp(rec.abp)) for rec in store])  # columns: sbp, dbp, map
     columns = {"sbp": triples[:, 0], "dbp": triples[:, 1], "map": triples[:, 2]}
     stats = {
         name: QuantityStats(

@@ -80,33 +80,6 @@ def aami_check_quantity(errors, subjects):
     return AAMIQuantityResult(mean_error=me, std=std, subjects=subjects, passed=passed)
 
 
-@dataclass
-class ErrorSeries:
-    """Signed per-episode errors (pred - truth, mmHg) for DBP, MAP, SBP."""
-
-    dbp: np.ndarray
-    map: np.ndarray
-    sbp: np.ndarray
-    subjects: int
-
-    def validate(self):
-        n = len(self.dbp)
-        if not (len(self.map) == len(self.sbp) == n):
-            raise ValueError("error series lengths differ across quantities")
-        for name in QUANTITIES:
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"non-finite {name} errors")
-        return self
-
-
-def aami_check(series):
-    series.validate()
-    return {
-        name: aami_check_quantity(getattr(series, name), series.subjects)
-        for name in QUANTITIES
-    }
-
-
 # ----------------------------------------------------------------- agreement
 
 @dataclass

@@ -2,10 +2,9 @@
 
 The approximation network is a deeply supervised 1D U-Net; the refinement
 network is a 1D MultiResUNet. Both are one U-shaped skeleton that differs
-only in its blocks, its skip transforms and its auxiliary heads. Both carry a fixed affine calibration on
-their input and output so the convolutional trunk works in normalized
-units while callers see absolute mmHg (the calibration constants are set
-by the trainer and stored in checkpoints, never learned).
+only in its blocks, its skip transforms and its auxiliary heads. Both carry
+a calibration layer, a fixed affine map on their input and output, so the
+convolutional trunk works in normalized units while callers see mmHg.
 """
 
 from dataclasses import dataclass, field
@@ -19,6 +18,7 @@ from .tensorops import (
     ReLU,
     ShapeError,
     TransposedConv1d,
+    _StatefulLayer,
     concat_channels,
     split_channels,
 )
@@ -26,7 +26,6 @@ from .tensorops import (
 
 @dataclass(frozen=True)
 class UNet1DConfig:
-    depth: int = 5
     filters_per_level: tuple = (64, 128, 256, 512, 1024)
     kernel_size: int = 3
     input_length: int = 1024
@@ -40,9 +39,11 @@ class UNet1DConfig:
             input_length=input_length,
         )
 
+    @property
+    def depth(self):
+        return len(self.filters_per_level)
+
     def validate(self):
-        if len(self.filters_per_level) != self.depth:
-            raise ValueError("one filter count is required per level")
         w = self.deep_supervision_weights
         if len(w) != self.depth:
             raise ValueError("one supervision weight per output is required")
@@ -59,7 +60,6 @@ class UNet1DConfig:
 
 @dataclass(frozen=True)
 class MultiResUNet1DConfig:
-    depth: int = 5
     alpha: float = 2.5
     base_widths: tuple = (32, 64, 128, 256, 512)
     res_path_lengths: tuple = (4, 3, 2, 1)
@@ -73,6 +73,10 @@ class MultiResUNet1DConfig:
             input_length=input_length,
         )
 
+    @property
+    def depth(self):
+        return len(self.base_widths)
+
     def block_width(self, level):
         # clamped so the W/6 stage keeps at least one filter at tiny test widths
         return max(6, round(self.alpha * self.base_widths[level]))
@@ -82,8 +86,6 @@ class MultiResUNet1DConfig:
         return w // 6, w // 3, w // 2
 
     def validate(self):
-        if len(self.base_widths) != self.depth:
-            raise ValueError("one base width is required per level")
         if len(self.res_path_lengths) != self.depth - 1:
             raise ValueError("one res-path length per skip connection is required")
         if self.alpha <= 0:
@@ -231,19 +233,51 @@ class _ResPath:
         return out
 
 
+class _Calibration(_StatefulLayer):
+    """The fixed affine map between mmHg and the trunk's normalized units: four
+    0-d buffers, set by the trainer and checkpointed, never learned."""
+
+    buffers = ("input_scale", "input_offset", "output_scale", "output_offset")
+
+    def __init__(self):
+        self.name = "calibration"
+        self.set()
+
+    def set(self, input_scale=1.0, input_offset=0.0, output_scale=1.0, output_offset=0.0):
+        self._check_scales(input_scale, output_scale)
+        for attr, value in zip(self.buffers, (input_scale, input_offset, output_scale, output_offset)):
+            setattr(self, attr, np.array(float(value)))
+
+    def take_state(self, table):
+        super().take_state(table)
+        self._check_scales(self.input_scale, self.output_scale)
+
+    @staticmethod
+    def _check_scales(input_scale, output_scale):
+        if input_scale == 0.0 or output_scale == 0.0:
+            raise ValueError("calibration scales must be non-zero")
+
+    def inward(self, x):
+        return (x - self.input_offset) / self.input_scale
+
+    def outward(self, z):
+        return z * self.output_scale + self.output_offset
+
+
 class _UShapedNetwork:
     """The topology both networks share, with its calibration and checkpoint plumbing.
 
     Per level an encoder block, a skip transform of its output and a pool;
-    a bottleneck block; then per level, deepest first, a stride-2 transposed
-    convolution, a channel concat with the skip and a decoder block; then a
-    1-tap linear head. A subclass supplies _block(name, in_ch, level, rng)
-    and _skip(level, channels, rng); a deeply supervised one also gets a
-    linear auxiliary head on the tensor entering every transposed
-    convolution. Layers are built in a fixed order (encoder blocks with
+    a bottleneck block; then per level, deepest first, a 2-tap stride-2
+    transposed convolution, a channel concat with the skip and a decoder
+    block; then a 1-tap linear head. A subclass supplies
+    _block(name, in_ch, level, rng) and _skip(level, channels, rng); a deeply
+    supervised one also gets a linear auxiliary head on the tensor entering
+    every transposed convolution. Layers are built in a fixed order (encoder blocks with
     their skips, bottleneck, decoder levels deepest first, auxiliary heads
     deepest first, final head): changing it changes every seeded weight,
-    and tests/test_models.py pins the resulting checkpoint entries.
+    and tests/test_models.py pins the resulting checkpoint entries. The
+    calibration layer comes last, so its four entries end every checkpoint.
 
     With seed None nothing is drawn: the conv weights are left unfilled
     (np.empty), a skeleton for load_state to fill, as a bundle load does.
@@ -257,7 +291,7 @@ class _UShapedNetwork:
 
     def __init__(self, config, seed):
         self.config = config.validate()
-        self.set_calibration()
+        self.calibration = _Calibration()
         rng = None if seed is None else np.random.default_rng(seed)
         levels = config.depth - 1
         self.enc, self.skips, self.pools = [], [], []
@@ -286,18 +320,7 @@ class _UShapedNetwork:
         self.final_head = Conv1d("head.final", ch, 1, 1, rng, init="linear")
 
     def set_calibration(self, input_scale=1.0, input_offset=0.0, output_scale=1.0, output_offset=0.0):
-        if input_scale == 0.0 or output_scale == 0.0:
-            raise ValueError("calibration scales must be non-zero")
-        self.input_scale = float(input_scale)
-        self.input_offset = float(input_offset)
-        self.output_scale = float(output_scale)
-        self.output_offset = float(output_offset)
-
-    def _calibrate_in(self, x):
-        return (x - self.input_offset) / self.input_scale
-
-    def _calibrate_out(self, z):
-        return z * self.output_scale + self.output_offset
+        self.calibration.set(input_scale, input_offset, output_scale, output_offset)
 
     def _layers(self):
         layers = []
@@ -306,7 +329,7 @@ class _UShapedNetwork:
         layers += self.bottleneck.layers()
         for up, dec in zip(self.ups, self.dec):
             layers += [up] + dec.layers()
-        return layers + self.aux_heads + [self.final_head]
+        return layers + self.aux_heads + [self.final_head, self.calibration]
 
     def param_blocks(self):
         blocks = []
@@ -322,18 +345,7 @@ class _UShapedNetwork:
             grad[:] = 0.0
 
     def checkpoint_entries(self):
-        entries = []
-        for layer in self._layers():
-            entries.extend(layer.state_entries())
-        entries.extend(
-            [
-                ("calibration.input_scale", np.array(self.input_scale)),
-                ("calibration.input_offset", np.array(self.input_offset)),
-                ("calibration.output_scale", np.array(self.output_scale)),
-                ("calibration.output_offset", np.array(self.output_offset)),
-            ]
-        )
-        return entries
+        return [entry for layer in self._layers() for entry in layer.state_entries()]
 
     def load_state(self, entries):
         """Check every entry's name and shape and make its array the layer's own.
@@ -344,16 +356,6 @@ class _UShapedNetwork:
         table = dict(entries)
         for layer in self._layers():
             layer.take_state(table)
-        calibration = {}
-        for attr in ("input_scale", "input_offset", "output_scale", "output_offset"):
-            key = f"calibration.{attr}"
-            if key not in table:
-                raise ValueError(f"checkpoint is missing entry '{key}'")
-            value = table.pop(key)
-            if np.shape(value) != ():
-                raise ValueError(f"checkpoint entry '{key}' has shape {np.shape(value)}, expected ()")
-            calibration[attr] = float(value)
-        self.set_calibration(**calibration)
         if table:
             raise ValueError(f"checkpoint has unexpected entries: {sorted(table)}")
 
@@ -372,7 +374,7 @@ class _UShapedNetwork:
 
     def _forward(self, x, mode="train"):
         self._check_input(x)
-        h = self._calibrate_in(x)
+        h = self.calibration.inward(x)
         skips = []
         for enc, skip, pool in zip(self.enc, self.skips, self.pools):
             h = enc.forward(h, mode)
@@ -382,29 +384,30 @@ class _UShapedNetwork:
         aux = []
         for l in reversed(range(len(self.ups))):
             if self.aux_heads:
-                aux.insert(0, self._calibrate_out(self.aux_heads[l].forward(h, mode)))
+                aux.insert(0, self.calibration.outward(self.aux_heads[l].forward(h, mode)))
             h = self.ups[l].forward(h, mode)
             h = self.dec[l].forward(concat_channels(h, skips[l]), mode)
-        final = self._calibrate_out(self.final_head.forward(h, mode))
+        final = self.calibration.outward(self.final_head.forward(h, mode))
         return NetworkOutput(final=final, auxiliaries=aux)
 
     def _backward(self, grad_final, grad_auxiliaries=None):
         """Input gradient; grad_auxiliaries lists the auxiliary gradients
         shallowest first (None, or None entries, for heads without a loss)."""
         aux_grads = grad_auxiliaries or [None] * len(self.ups)
-        g = self.final_head.backward(grad_final * self.output_scale)
+        scale = self.calibration.output_scale
+        g = self.final_head.backward(grad_final * scale)
         skip_grads = []
         for l, (up, dec) in enumerate(zip(self.ups, self.dec)):
             g_up, g_skip = split_channels(dec.backward(g), up.out_channels)
             skip_grads.append(g_skip)
             g = up.backward(g_up)
             if aux_grads[l] is not None:
-                g = g + self.aux_heads[l].backward(aux_grads[l] * self.output_scale)
+                g = g + self.aux_heads[l].backward(aux_grads[l] * scale)
         g = self.bottleneck.backward(g)
         for l in reversed(range(len(self.enc))):
             g = self.pools[l].backward(g) + self.skips[l].backward(skip_grads[l])
             g = self.enc[l].backward(g)
-        return g / self.input_scale
+        return g / self.calibration.input_scale
 
 
 class UNet1D(_UShapedNetwork):

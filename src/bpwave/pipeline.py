@@ -8,31 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import datapipe, models, sigproc, tensorops, trainer
+from .datapipe import BPValues, extract_bp
 
 BUNDLE_VERSION = 1
 BUNDLE_META = "meta.json"
 BUNDLE_APPROX = "approx.ckpt"
 BUNDLE_REFINE = "refine.ckpt"
-
-
-@dataclass(frozen=True)
-class BPValues:
-    sbp: float
-    dbp: float
-    map: float
-
-
-def extract_bp(abp):
-    """SBP/DBP/MAP as the max/min/mean of the pressure window."""
-    abp = np.asarray(abp, dtype=np.float64)
-    if abp.size == 0:
-        raise ValueError("cannot extract blood pressure from an empty signal")
-    sbp = float(abp.max())
-    dbp = float(abp.min())
-    # rounding in the mean can stray one ulp outside [min, max]; the
-    # ordering dbp <= map <= sbp is a declared invariant, so pin it
-    mean = min(max(float(abp.mean()), dbp), sbp)
-    return BPValues(sbp=sbp, dbp=dbp, map=mean)
 
 
 def waveform_mae(pred, truth):
@@ -171,9 +152,16 @@ def _network_input(bundle, ppg):
 
 
 def _cascade(bundle, x):
-    """(B, L) conditioned windows to (B, L) predicted pressure (mmHg)."""
+    """(B, L) conditioned windows to (B, L) predicted pressure (mmHg).
+
+    Raises NumericalError if any predicted sample is non-finite, as a NaN
+    or infinite weight in a loaded bundle makes it.
+    """
     rough = bundle.approx_network.forward(x[:, None, :], mode="infer").final
-    return bundle.refine_network.forward(rough, mode="infer").final[:, 0]
+    pred = bundle.refine_network.forward(rough, mode="infer").final[:, 0]
+    if not np.all(np.isfinite(pred)):
+        raise tensorops.NumericalError("predicted waveform contains non-finite samples")
+    return pred
 
 
 def predict_waveform(bundle, ppg):

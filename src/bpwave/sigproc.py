@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_FS = 125.0
 DENOISE_LEVELS = 10
 
 # MAD -> sigma for Gaussian noise (Phi^-1(0.75))
@@ -31,12 +30,11 @@ def _as_signal(x, min_len=1):
 
 @dataclass(frozen=True)
 class WaveletFilterBank:
-    """Orthogonal two-channel filter bank (analysis + synthesis, 16 taps each)."""
+    """Orthogonal two-channel analysis filter bank (16 taps each). Synthesis
+    reuses the same taps, as the transpose of the orthogonal analysis."""
 
     dec_lowpass: np.ndarray
     dec_highpass: np.ndarray
-    rec_lowpass: np.ndarray
-    rec_highpass: np.ndarray
 
     def validate(self, tol=1e-12):
         h = self.dec_lowpass
@@ -49,10 +47,6 @@ class WaveletFilterBank:
         signs = (-1.0) ** np.arange(n)
         if np.max(np.abs(g - signs * h[::-1])) > tol:
             raise ValueError("highpass filter violates the quadrature-mirror relation")
-        if np.max(np.abs(self.rec_lowpass - h[::-1])) > tol:
-            raise ValueError("reconstruction lowpass is not the time-reverse")
-        if np.max(np.abs(self.rec_highpass - g[::-1])) > tol:
-            raise ValueError("reconstruction highpass is not the time-reverse")
         return self
 
 
@@ -85,13 +79,7 @@ def build_filter_bank(vanishing_moments=8):
     h = daubechies_lowpass(vanishing_moments)
     signs = (-1.0) ** np.arange(h.size)
     g = signs * h[::-1]
-    bank = WaveletFilterBank(
-        dec_lowpass=h,
-        dec_highpass=g,
-        rec_lowpass=h[::-1].copy(),
-        rec_highpass=g[::-1].copy(),
-    )
-    return bank.validate()
+    return WaveletFilterBank(dec_lowpass=h, dec_highpass=g).validate()
 
 
 DB8 = build_filter_bank(8)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import container
 
@@ -152,73 +151,56 @@ class Conv1d(_StatefulLayer):
 
 
 class TransposedConv1d(_StatefulLayer):
-    """Fractionally-strided convolution: doubles the length (stride fixed at 2).
+    """2-tap, stride-2 fractionally-strided convolution: doubles the length.
 
-    With rng None the weight is left unfilled (np.empty) and no number is
-    drawn: the skeleton a checkpoint load fills.
+    Input sample i feeds output samples 2i (tap 0) and 2i + 1 (tap 1), so
+    the taps never overlap. kernel_size is fixed at 2. With rng None the
+    weight is left unfilled (np.empty) and no number is drawn: the skeleton
+    a checkpoint load fills.
     """
 
-    stride = 2
     params = ("weight", "bias")
 
     def __init__(self, name, in_channels, out_channels, kernel_size, rng, init="relu"):
-        if kernel_size % 2 != 0:
-            raise ValueError("kernel_size must be even to tile a stride-2 upsampling")
+        if kernel_size != 2:
+            raise ValueError(f"kernel_size must be 2 for a stride-2 upsampling, got {kernel_size}")
         self.name = name
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
-        self.weight = _he_weight(
-            rng,
-            (out_channels, in_channels, kernel_size),
-            in_channels * kernel_size // self.stride,
-            init,
-        )
+        # each output sample sees one tap of each input channel: fan-in C
+        self.weight = _he_weight(rng, (out_channels, in_channels, 2), in_channels, init)
         self.bias = np.zeros(out_channels)
         self.weight_grad = np.zeros(self.weight.shape)
         self.bias_grad = np.zeros(out_channels)
         self._x = None
 
-    def _crop(self):
-        return (self.kernel_size - self.stride) // 2
-
     def _tap_matrix(self):
-        """(O*K, C) weight matrix whose row o*K + t holds tap t of output channel o."""
-        o, c, k = self.weight.shape
-        return self.weight.transpose(0, 2, 1).reshape(o * k, c)
+        """(2*O, C) weight matrix whose row 2*o + t holds tap t of output channel o."""
+        o, c, _ = self.weight.shape
+        return self.weight.transpose(0, 2, 1).reshape(2 * o, c)
 
     def forward(self, x, mode="train"):
         _check_activation(x, self.in_channels)
         b, _, length = x.shape
-        o, k, s = self.out_channels, self.kernel_size, self.stride
-        # tap t = s*p + r of input sample i lands on uncropped output sample s*(i + p) + r
-        taps = (self._tap_matrix() @ x).reshape(b, o, k // s, s, length).transpose(0, 1, 2, 4, 3)
-        if k == s:
-            out = np.empty((b, o, length, s))
-            np.add(taps[:, :, 0], self.bias[None, :, None, None], out=out)
-            out = out.reshape(b, o, s * length)
-        else:
-            full = np.zeros((b, o, length + k // s - 1, s))
-            for p in range(k // s):
-                full[:, :, p : p + length] += taps[:, :, p]
-            crop = self._crop()
-            out = full.reshape(b, o, -1)[:, :, crop : crop + s * length] + self.bias[None, :, None]
+        o = self.out_channels
+        # taps[b, o, i, t] lands on output sample 2*i + t
+        taps = (self._tap_matrix() @ x).reshape(b, o, 2, length).transpose(0, 1, 3, 2)
+        out = np.empty((b, o, length, 2))
+        np.add(taps, self.bias[None, :, None, None], out=out)
         self._x = x if mode == "train" else None
-        return out
+        return out.reshape(b, o, 2 * length)
 
     def backward(self, grad_out):
         x = self._x
-        if x is None or grad_out.shape != (x.shape[0], self.out_channels, self.stride * x.shape[2]):
+        if x is None or grad_out.shape != (x.shape[0], self.out_channels, 2 * x.shape[2]):
             raise ShapeError(f"{self.name}: gradient shape does not match the saved forward")
         b, c, length = x.shape
-        o, k, s = self.out_channels, self.kernel_size, self.stride
-        crop = self._crop()
-        # g_taps[o, p, r, b, i] = padded grad_out at sample s*(i + p) + r: the forward's tap layout
-        g_pad = np.pad(grad_out, ((0, 0), (0, 0), (crop, crop))).reshape(b, o, -1, s)
-        g_taps = sliding_window_view(g_pad, length, axis=2).transpose(1, 2, 3, 0, 4)
-        g_taps = g_taps.reshape(o * k, b * length)
+        o = self.out_channels
+        # g_taps[2*o + t, b*L + i] = grad_out[b, o, 2*i + t]: the forward's tap layout
+        g_taps = grad_out.reshape(b, o, length, 2).transpose(1, 3, 0, 2).reshape(2 * o, b * length)
         x_cols = x.transpose(1, 0, 2).reshape(c, b * length)
-        self.weight_grad += (g_taps @ x_cols.T).reshape(o, k, c).transpose(0, 2, 1)
+        self.weight_grad += (g_taps @ x_cols.T).reshape(o, 2, c).transpose(0, 2, 1)
         self.bias_grad += grad_out.sum(axis=(0, 2))
         return (self._tap_matrix().T @ g_taps).reshape(c, b, length).transpose(1, 0, 2)
 
@@ -306,9 +288,9 @@ class ReLU:
         self._mask = None
 
     def forward(self, x, mode="train"):
-        mask = x > 0.0
-        self._mask = mask if mode == "train" else None
-        return np.where(mask, x, 0.0)
+        self._mask = x > 0.0 if mode == "train" else None
+        # maximum propagates NaN: a non-finite input stays non-finite, not 0
+        return np.maximum(x, 0.0)
 
     def backward(self, grad_out):
         if self._mask is None or grad_out.shape != self._mask.shape:
@@ -413,9 +395,6 @@ class GradCheckReport:
     @property
     def max_rel_error(self):
         return max((b.max_rel_error for b in self.blocks), default=0.0)
-
-    def worst(self):
-        return max(self.blocks, key=lambda b: b.max_rel_error, default=None)
 
     def passed(self, tolerance):
         return all(b.max_rel_error < tolerance for b in self.blocks)

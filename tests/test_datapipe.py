@@ -11,6 +11,7 @@ from bpwave.datapipe import (
     bin_and_subsample,
     bin_key,
     dataset_stats,
+    extract_bp,
     read_signal_csv,
     read_store,
     segment_episodes,
@@ -96,11 +97,13 @@ def test_subsample_respects_per_bin_bound():
     out = bin_and_subsample(store, fraction=0.25, cap=10, seed=2)
     counts = {}
     for rec in out:
-        key = bin_key(*rec.bp_triple()[:2])
+        bp = extract_bp(rec.abp)
+        key = bin_key(bp.sbp, bp.dbp)
         counts[key] = counts.get(key, 0) + 1
     original = {}
     for rec in store:
-        key = bin_key(*rec.bp_triple()[:2])
+        bp = extract_bp(rec.abp)
+        key = bin_key(bp.sbp, bp.dbp)
         original[key] = original.get(key, 0) + 1
     for key, c in counts.items():
         assert c <= min(round(0.25 * original[key]), 10)
@@ -250,7 +253,8 @@ def test_csv_import_missing_columns(tmp_path):
 def test_synth_extremes_match_draws():
     store = synth_generate(20, seed=4)
     for rec in store:
-        sbp, dbp, _ = rec.bp_triple()
+        bp = extract_bp(rec.abp)
+        sbp, dbp = bp.sbp, bp.dbp
         assert 80.0 - 1e-9 <= sbp <= 180.0 + 1e-9
         assert 50.0 - 1e-9 <= dbp <= 110.0 + 1e-9
         assert dbp < sbp - 10.0 + 1e-9
@@ -266,7 +270,7 @@ def test_synth_deterministic():
 
 def test_synth_sbp_mean_in_expected_band():
     store = synth_generate(1000, seed=11)
-    sbps = [rec.bp_triple()[0] for rec in store]
+    sbps = [extract_bp(rec.abp).sbp for rec in store]
     assert 120.0 <= float(np.mean(sbps)) <= 140.0
 
 

@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 
 from bpwave import evalstats
 from bpwave.evalstats import (
-    aami_check,
     aami_check_quantity,
     bhs_grade,
     bhs_grade_from_percentages,
     bland_altman,
     classification_report,
     classify_hypertension,
-    ErrorSeries,
     evaluate,
     load_predictions,
     pearson,
@@ -113,15 +111,6 @@ def test_aami_boundary_grid():
             for n in (84, 85, 86):
                 verdict = aami_check_quantity(series_with(me, std), n).passed
                 assert verdict == (me <= 5.0 and std <= 8.0 and n >= 85)
-
-
-def test_aami_full_series():
-    series = ErrorSeries(
-        dbp=series_with(1.0, 3.0), map=series_with(0.5, 2.0), sbp=series_with(-2.0, 9.0),
-        subjects=100,
-    )
-    result = aami_check(series)
-    assert result["dbp"].passed and result["map"].passed and not result["sbp"].passed
 
 
 def test_aami_empty_rejected():

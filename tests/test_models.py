@@ -390,7 +390,6 @@ def test_multires_gradcheck_sampled():
 
 def test_two_level_unet_gradcheck_exhaustive():
     cfg = UNet1DConfig(
-        depth=2,
         filters_per_level=(2, 4),
         deep_supervision_weights=(1.0, 0.9),
         input_length=32,

@@ -305,6 +305,23 @@ def test_load_bundle_rejects_checkpoint_entries_by_name(tmp_path, edit, name):
         load_bundle(tmp_path)
 
 
+def test_nan_weight_in_a_loaded_bundle_fails_every_episode(tmp_path):
+    save_bundle(tiny_bundle(seed=8), tmp_path)
+    path = tmp_path / pipeline.BUNDLE_APPROX
+    entries = tensorops.read_checkpoint(path)
+    dict(entries)["enc0.a.conv.weight"].flat[0] = np.nan
+    tensorops.write_checkpoint(path, entries)
+    bundle = load_bundle(tmp_path)
+    store = datapipe.synth_generate(3, seed=9)
+
+    with pytest.raises(tensorops.NumericalError, match="non-finite"):
+        predict_waveform(bundle, store[0].ppg)
+    rows, failures = batch_predict(bundle, store)
+    assert rows == []
+    assert [i for i, _ in failures] == [0, 1, 2]
+    assert all("non-finite" in message for _, message in failures)
+
+
 def test_loaded_bundle_serves_concurrent_callers_bitwise(tmp_path):
     save_bundle(tiny_bundle(seed=14), tmp_path)
     bundle = load_bundle(tmp_path)

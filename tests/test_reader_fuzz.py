@@ -22,10 +22,10 @@ def corruptions(draw, raw):
     return bytes(out)
 
 
-# depth 2 and a 4-sample input keep the checkpoint at a few hundred bytes,
+# two levels and a 4-sample input keep the checkpoint at a few hundred bytes,
 # so most flips land in names, ranks and dims rather than in payloads
 TINY_UNET = models.UNet1DConfig(
-    depth=2, filters_per_level=(2, 3), input_length=4, deep_supervision_weights=(1.0, 0.9)
+    filters_per_level=(2, 3), input_length=4, deep_supervision_weights=(1.0, 0.9)
 )
 
 

@@ -158,18 +158,18 @@ def test_transposed_zero_input_gives_bias():
 
 
 def test_transposed_doubles_length_and_rejects_odd_kernel():
-    up = TransposedConv1d("up", 1, 1, 4, rng_for(2))
+    up = TransposedConv1d("up", 1, 1, 2, rng_for(2))
     assert up.forward(np.zeros((1, 1, 6))).shape == (1, 1, 12)
-    with pytest.raises(ValueError):
-        TransposedConv1d("bad", 1, 1, 3, rng_for(0))
+    for k in (3, 4):
+        with pytest.raises(ValueError):
+            TransposedConv1d("bad", 1, 1, k, rng_for(0))
 
 
 def test_transposed_gradcheck():
-    for k in (2, 4):
-        up = TransposedConv1d("up", 2, 3, k, rng_for(7))
-        x = rng_for(13).normal(size=(2, 2, 8))
-        report = linear_probe_check(up, x)
-        assert report.passed(1e-4), report.format()
+    up = TransposedConv1d("up", 2, 3, 2, rng_for(7))
+    x = rng_for(13).normal(size=(2, 2, 8))
+    report = linear_probe_check(up, x)
+    assert report.passed(1e-4), report.format()
 
 
 def test_transposed_adjoint_consistency():
@@ -186,7 +186,7 @@ def test_transposed_adjoint_consistency():
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
 
 
-@pytest.mark.parametrize("k", [2, 4, 6])
+@pytest.mark.parametrize("k", [2])
 @pytest.mark.parametrize("batch", [1, 3])
 @pytest.mark.parametrize("c_in, c_out", [(3, 5), (4, 2)])
 def test_transposed_matches_loop_oracles(k, batch, c_in, c_out):
@@ -203,20 +203,6 @@ def test_transposed_matches_loop_oracles(k, batch, c_in, c_out):
     np.testing.assert_allclose(grad_in, want_in, rtol=0, atol=1e-12)
     np.testing.assert_allclose(up.weight_grad, want_weight, rtol=0, atol=1e-12)
     np.testing.assert_allclose(up.bias_grad, g.sum(axis=(0, 2)), rtol=0, atol=1e-12)
-
-
-def test_transposed_adjoint_consistency_k4():
-    rng = rng_for(22)
-    for _ in range(20):
-        c_in, c_out = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        batch, length = int(rng.integers(1, 4)), int(rng.integers(2, 12))
-        up = TransposedConv1d("up", c_in, c_out, 4, rng_for(int(rng.integers(1e6))))
-        up.bias[:] = 0.0
-        x = rng.normal(size=(batch, c_in, length))
-        y = rng.normal(size=(batch, c_out, 2 * length))
-        lhs = float(np.sum(up.forward(x) * y))
-        rhs = float(np.sum(x * up.backward(y)))
-        assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
 
 
 # ------------------------------------------------------------------ maxpool

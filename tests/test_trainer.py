@@ -167,7 +167,7 @@ def test_shallow_unet_trains_with_its_own_supervision_weights(small_store):
     """The deep-supervision weights come from the network's config, so a
     U-Net of any depth trains, and its loss uses exactly those weights."""
     cfg = UNet1DConfig(
-        depth=2, filters_per_level=(2, 4), deep_supervision_weights=(1.0, 0.5), input_length=LENGTH
+        filters_per_level=(2, 4), deep_supervision_weights=(1.0, 0.5), input_length=LENGTH
     )
     config = TrainConfig(epochs=1, batch_size=len(small_store), seed=4)
     result = train_network(models.build_unet1d(cfg, seed=4), small_store, None, config, which="approx")
