@@ -71,7 +71,6 @@ class EpisodeRecord:
 class EpisodeStore:
     records: list = field(default_factory=list)
     fs: float = STORE_FS
-    version: int = STORE_VERSION
 
     def __len__(self):
         return len(self.records)
@@ -90,7 +89,7 @@ class EpisodeStore:
         return self
 
     def subset(self, indices):
-        return EpisodeStore([self.records[i] for i in indices], fs=self.fs, version=self.version)
+        return EpisodeStore([self.records[i] for i in indices], fs=self.fs)
 
     def equals(self, other):
         if len(self) != len(other) or self.fs != other.fs:
@@ -220,13 +219,16 @@ def read_signal_csv(path):
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError(f"signal CSV needs columns {sorted(required)}, got {reader.fieldnames}")
         current = None
-        for line, row in enumerate(reader, start=2):
+        for row in reader:
+            # DictReader fills the fields a short row lacks with None
+            ppg_v, abp_v, subject = row["ppg"], row["abp"], row["subject_id"]
+            if ppg_v is None or abp_v is None or subject is None:
+                raise ValueError(f"line {reader.line_num}: row has fewer fields than the header")
             try:
-                ppg_v = float(row["ppg"])
-                abp_v = float(row["abp"])
+                ppg_v = float(ppg_v)
+                abp_v = float(abp_v)
             except ValueError as exc:
-                raise ValueError(f"line {line}: {exc}") from None
-            subject = row["subject_id"]
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
             if current is None or subject != current[0]:
                 current = (subject, [], [])
                 runs.append(current)

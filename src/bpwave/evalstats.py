@@ -4,10 +4,10 @@ statistics, hypertension classification, and SQI-stratified errors."""
 import csv
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .pipeline import PREDICTION_COLUMNS, BPValues
 
@@ -128,8 +128,10 @@ def pearson_p_value(r, n):
     r = min(1.0, max(-1.0, r))
     if abs(r) == 1.0:
         return "< 1e-6"
+    from scipy import stats  # here, not at module load: about 1 s of import time
+
     t = abs(r) * math.sqrt((n - 2) / (1.0 - r * r))
-    p = 2.0 * float(scipy_stats.t.sf(t, df=n - 2))
+    p = 2.0 * float(stats.t.sf(t, df=n - 2))
     return "< 1e-6" if p < 1e-6 else f"{p:.6g}"
 
 
@@ -403,8 +405,6 @@ def evaluate(rows, sqi_bins=10):
 def write_figure_data(rows, directory):
     """CSV data behind the standard figures: error histograms, agreement
     points, and regression points, one file per quantity."""
-    import os
-
     os.makedirs(directory, exist_ok=True)
     for name in QUANTITIES:
         truth = np.array([r[f"{name}_true"] for r in rows])

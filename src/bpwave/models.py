@@ -4,7 +4,9 @@ The approximation network is a deeply supervised 1D U-Net; the refinement
 network is a 1D MultiResUNet. Both are one U-shaped skeleton that differs
 only in its blocks, its skip transforms and its auxiliary heads. Both carry
 a calibration layer, a fixed affine map on their input and output, so the
-convolutional trunk works in normalized units while callers see mmHg.
+convolutional trunk works in normalized units while callers see mmHg. A
+network's config holds its widths per level and its input length; the rest
+of the design is fixed.
 """
 
 from dataclasses import dataclass, field
@@ -24,12 +26,17 @@ from .tensorops import (
 )
 
 
+KERNEL_SIZE = 3  # of every conv+BN+ReLU stage in both networks
+
+
 @dataclass(frozen=True)
 class UNet1DConfig:
     filters_per_level: tuple = (64, 128, 256, 512, 1024)
-    kernel_size: int = 3
     input_length: int = 1024
-    deep_supervision_weights: tuple = (1.0, 0.9, 0.8, 0.7, 0.6)
+
+    kernel_size = KERNEL_SIZE
+    # loss weights of the final output, then of the auxiliaries shallowest first
+    SUPERVISION_WEIGHTS = (1.0, 0.9, 0.8, 0.7, 0.6)
 
     @classmethod
     def scaled(cls, width=1.0, input_length=1024):
@@ -43,27 +50,26 @@ class UNet1DConfig:
     def depth(self):
         return len(self.filters_per_level)
 
+    @property
+    def deep_supervision_weights(self):
+        return self.SUPERVISION_WEIGHTS[: self.depth]
+
     def validate(self):
-        w = self.deep_supervision_weights
-        if len(w) != self.depth:
-            raise ValueError("one supervision weight per output is required")
-        if w[0] != 1.0 or any(a <= b for a, b in zip(w, w[1:])):
-            raise ValueError("supervision weights must decrease strictly from 1")
+        if not 1 <= self.depth <= len(self.SUPERVISION_WEIGHTS):
+            raise ValueError(f"a U-Net has 1 to {len(self.SUPERVISION_WEIGHTS)} levels, not {self.depth}")
         if self.input_length % (1 << (self.depth - 1)) != 0:
             raise ValueError(
                 f"input length {self.input_length} not divisible by 2^{self.depth - 1}"
             )
-        if self.kernel_size % 2 != 1:
-            raise ValueError("kernel_size must be odd")
         return self
 
 
 @dataclass(frozen=True)
 class MultiResUNet1DConfig:
-    alpha: float = 2.5
     base_widths: tuple = (32, 64, 128, 256, 512)
-    res_path_lengths: tuple = (4, 3, 2, 1)
     input_length: int = 1024
+
+    alpha = 2.5
 
     @classmethod
     def scaled(cls, width=1.0, input_length=1024):
@@ -77,6 +83,11 @@ class MultiResUNet1DConfig:
     def depth(self):
         return len(self.base_widths)
 
+    @property
+    def res_path_lengths(self):
+        """Links per skip path, shallowest first: depth - 1 down to 1."""
+        return tuple(range(self.depth - 1, 0, -1))
+
     def block_width(self, level):
         # clamped so the W/6 stage keeps at least one filter at tiny test widths
         return max(6, round(self.alpha * self.base_widths[level]))
@@ -86,13 +97,6 @@ class MultiResUNet1DConfig:
         return w // 6, w // 3, w // 2
 
     def validate(self):
-        if len(self.res_path_lengths) != self.depth - 1:
-            raise ValueError("one res-path length per skip connection is required")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        for level in range(self.depth):
-            if min(self.stage_filters(level)) < 1:
-                raise ValueError(f"block width {self.block_width(level)} leaves an empty stage")
         if self.input_length % (1 << (self.depth - 1)) != 0:
             raise ValueError(
                 f"input length {self.input_length} not divisible by 2^{self.depth - 1}"
@@ -107,8 +111,8 @@ class NetworkOutput:
 
 
 class _ConvBNRelu:
-    def __init__(self, name, in_ch, out_ch, kernel_size, rng):
-        self.conv = Conv1d(f"{name}.conv", in_ch, out_ch, kernel_size, rng, init="relu")
+    def __init__(self, name, in_ch, out_ch, rng):
+        self.conv = Conv1d(f"{name}.conv", in_ch, out_ch, KERNEL_SIZE, rng, init="relu")
         self.bn = BatchNorm1d(f"{name}.bn", out_ch)
         self.relu = ReLU()
 
@@ -125,9 +129,9 @@ class _ConvBNRelu:
 class _DoubleConv:
     """U-Net block: two conv+BN+ReLU stages."""
 
-    def __init__(self, name, in_ch, out_ch, kernel_size, rng):
-        self.a = _ConvBNRelu(f"{name}.a", in_ch, out_ch, kernel_size, rng)
-        self.b = _ConvBNRelu(f"{name}.b", out_ch, out_ch, kernel_size, rng)
+    def __init__(self, name, in_ch, out_ch, rng):
+        self.a = _ConvBNRelu(f"{name}.a", in_ch, out_ch, rng)
+        self.b = _ConvBNRelu(f"{name}.b", out_ch, out_ch, rng)
         self.out_channels = out_ch
 
     def forward(self, x, mode):
@@ -162,12 +166,11 @@ class _MultiResBlock:
 
     def __init__(self, name, in_ch, config, level, rng):
         s1, s2, s3 = config.stage_filters(level)
-        k = 3
         self.out_channels = s1 + s2 + s3
         self.splits = (s1, s2, s3)
-        self.stage1 = _ConvBNRelu(f"{name}.s1", in_ch, s1, k, rng)
-        self.stage2 = _ConvBNRelu(f"{name}.s2", s1, s2, k, rng)
-        self.stage3 = _ConvBNRelu(f"{name}.s3", s2, s3, k, rng)
+        self.stage1 = _ConvBNRelu(f"{name}.s1", in_ch, s1, rng)
+        self.stage2 = _ConvBNRelu(f"{name}.s2", s1, s2, rng)
+        self.stage3 = _ConvBNRelu(f"{name}.s3", s2, s3, rng)
         self.shortcut = Conv1d(f"{name}.shortcut", in_ch, self.out_channels, 1, rng, init="linear")
         self.post_bn = BatchNorm1d(f"{name}.post_bn", self.out_channels)
         self.post_relu = ReLU()
@@ -208,7 +211,7 @@ class _ResPath:
         for i in range(length):
             self.links.append(
                 (
-                    _ConvBNRelu(f"{name}.link{i}", ch, width, 3, rng),
+                    _ConvBNRelu(f"{name}.link{i}", ch, width, rng),
                     Conv1d(f"{name}.link{i}.bypass", ch, width, 1, rng, init="linear"),
                 )
             )
@@ -425,8 +428,7 @@ class UNet1D(_UShapedNetwork):
         super().__init__(config or UNet1DConfig(), seed)
 
     def _block(self, name, in_ch, level, rng):
-        cfg = self.config
-        return _DoubleConv(name, in_ch, cfg.filters_per_level[level], cfg.kernel_size, rng)
+        return _DoubleConv(name, in_ch, self.config.filters_per_level[level], rng)
 
     def _skip(self, level, channels, rng):
         return _Identity(channels)

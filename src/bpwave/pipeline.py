@@ -35,7 +35,7 @@ def preprocess_store(store):
         datapipe.EpisodeRecord(preprocess_ppg(rec.ppg), rec.abp.copy(), rec.subject_id)
         for rec in store
     ]
-    return datapipe.EpisodeStore(records, fs=store.fs, version=store.version)
+    return datapipe.EpisodeStore(records, fs=store.fs)
 
 
 @dataclass
@@ -43,7 +43,6 @@ class PipelineBundle:
     approx_network: object
     refine_network: object
     fs: float = 125.0
-    version: int = BUNDLE_VERSION
     preprocess: bool = True
 
     def input_length(self):
@@ -53,7 +52,7 @@ class PipelineBundle:
 def save_bundle(bundle, directory):
     os.makedirs(directory, exist_ok=True)
     meta = {
-        "format_version": bundle.version,
+        "format_version": BUNDLE_VERSION,
         "fs": bundle.fs,
         "preprocess": bundle.preprocess,
         "approx": {
@@ -93,8 +92,9 @@ def _read_meta(directory):
         part = meta.get(stage)
         if not isinstance(part, dict):
             raise ValueError(f"{BUNDLE_META}: '{stage}' must be an object")
-        if not isinstance(part.get(widths), list) or not all(map(_is_positive_int, part[widths])):
-            raise ValueError(f"{BUNDLE_META}: '{stage}.{widths}' must be a list of positive integers")
+        values = part.get(widths)
+        if not isinstance(values, list) or not values or not all(map(_is_positive_int, values)):
+            raise ValueError(f"{BUNDLE_META}: '{stage}.{widths}' must be a non-empty list of positive integers")
         if not _is_positive_int(part.get("input_length")):
             raise ValueError(f"{BUNDLE_META}: '{stage}.input_length' must be a positive integer")
     return meta
@@ -125,7 +125,6 @@ def load_bundle(directory):
         approx_network=approx,
         refine_network=refine,
         fs=meta["fs"],
-        version=meta["format_version"],
         preprocess=meta.get("preprocess", True),
     )
 

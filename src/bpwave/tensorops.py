@@ -237,12 +237,12 @@ class BatchNorm1d(_StatefulLayer):
 
     params = ("gamma", "beta")
     buffers = ("running_mean", "running_var")
+    eps = 1e-5
+    momentum = 0.99
 
-    def __init__(self, name, channels, eps=1e-5, momentum=0.99):
+    def __init__(self, name, channels):
         self.name = name
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = np.ones(channels)
         self.beta = np.zeros(channels)
         self.running_mean = np.zeros(channels)
@@ -328,9 +328,6 @@ def mse_loss(pred, target):
         raise ShapeError(f"loss shape mismatch: {pred.shape} vs {target.shape}")
     diff = pred - target
     return float(np.mean(diff * diff)), 2.0 * diff / diff.size
-
-
-LOSSES = {"mae": mae_loss, "mse": mse_loss}
 
 
 # ------------------------------------------------------------------------ adam

@@ -14,15 +14,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import models, tensorops
-from .tensorops import Adam, AdamConfig, NumericalError, mse_loss
+from .tensorops import Adam, AdamConfig, NumericalError, mae_loss, mse_loss
 
 
 @dataclass
 class TrainConfig:
     epochs: int = 100
     batch_size: int = 32
-    approx_loss: str = "mae"
-    refine_loss: str = "mse"
     adam: AdamConfig = field(default_factory=AdamConfig)
     seed: int = 0
     # extra train-mode forwards after training so the momentum-tracked
@@ -34,8 +32,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (batch normalization)")
-        if self.approx_loss not in tensorops.LOSSES or self.refine_loss not in tensorops.LOSSES:
-            raise ValueError(f"losses must be one of {sorted(tensorops.LOSSES)}")
         if self.bn_refresh_passes < 0:
             raise ValueError("bn_refresh_passes must be >= 0")
         return self
@@ -73,7 +69,7 @@ def deep_supervised_loss(outputs, target, weights, base_loss=None):
     average-pooled by 2^k; weight 0 (pinned to 1) applies to the final
     output. Returns (total, grad_final, aux_grads).
     """
-    base_loss = base_loss or tensorops.mae_loss
+    base_loss = base_loss or mae_loss
     if len(weights) != 1 + len(outputs.auxiliaries):
         raise ValueError(
             f"{len(weights)} weights for {1 + len(outputs.auxiliaries)} outputs"
@@ -147,8 +143,8 @@ def train_network(network, train_store, val_store, config, which="approx", appro
     """Run the epoch loop; returns the history and the best checkpoint.
 
     which="approx": inputs are the stored (preprocessed) PPG windows and the
-    loss is deeply supervised. which="refine": inputs are frozen infer-mode
-    predictions of approx_network on the stored PPG, plain loss on the final
+    loss is deeply supervised MAE. which="refine": inputs are frozen infer-mode
+    predictions of approx_network on the stored PPG, plain MSE on the final
     output (the same loss call with the single weight 1.0). The best-scoring
     weights (validation loss, or training loss when no validation store is
     given) are restored into the network afterwards.
@@ -162,14 +158,14 @@ def train_network(network, train_store, val_store, config, which="approx", appro
     x_train, y_train = episodes_to_arrays(train_store)
     x_val, y_val = episodes_to_arrays(val_store) if val_store is not None and len(val_store) else (None, None)
     if which == "approx":
-        base_loss = tensorops.LOSSES[config.approx_loss]
+        base_loss = mae_loss
         weights = network.config.deep_supervision_weights
         calibrate_network(network, y_train)
     else:
         x_train = predict_batched(approx_network, x_train)
         if x_val is not None:
             x_val = predict_batched(approx_network, x_val)
-        base_loss = tensorops.LOSSES[config.refine_loss]
+        base_loss = mse_loss
         weights = (1.0,)
         calibrate_network(network, y_train, inputs=x_train)
 

@@ -120,7 +120,7 @@ def test_split_subsample(synth_store, tmp_path):
     assert kept <= 24
 
 
-def test_csv_import_via_preprocess(tmp_path):
+def test_csv_import_via_preprocess(tmp_path, capsys):
     csv_path = tmp_path / "signals.csv"
     rows = ["ppg,abp,subject_id"]
     rng = np.random.default_rng(0)
@@ -130,6 +130,10 @@ def test_csv_import_via_preprocess(tmp_path):
     out = tmp_path / "out.p2a"
     assert run("preprocess", "--in", str(csv_path), "--out", str(out)) == 0
     assert len(datapipe.read_store(out)) == 1
+    # a row short of fields is a data error, not a traceback
+    csv_path.write_text("\n".join(rows + ["0.5"]) + "\n")
+    assert run("preprocess", "--in", str(csv_path), "--out", str(tmp_path / "short.p2a")) == 2
+    assert "line 1026" in capsys.readouterr().err
 
 
 def test_train_config_file_and_overrides(tmp_path, synth_store):

@@ -236,16 +236,19 @@ def test_csv_import(tmp_path):
 
 def test_csv_import_bad_value_names_line(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("ppg,abp,subject_id\n0.1,90,a\noops,90,a\n")
-    with pytest.raises(ValueError, match="line 3"):
-        read_signal_csv(path)
+    # a bad float, then rows short of one and of two fields
+    for bad_row in ("oops,90,a", "0.5,90", "0.5"):
+        path.write_text(f"ppg,abp,subject_id\n0.1,90,a\n{bad_row}\n")
+        with pytest.raises(ValueError, match="line 3"):
+            read_signal_csv(path)
 
 
 def test_csv_import_missing_columns(tmp_path):
     path = tmp_path / "cols.csv"
-    path.write_text("ppg,subject_id\n0.1,a\n")
-    with pytest.raises(ValueError):
-        read_signal_csv(path)
+    for text in ("ppg,subject_id\n0.1,a\n", ""):
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            read_signal_csv(path)
 
 
 # -------------------------------------------------------------------- synthesis

@@ -1,11 +1,15 @@
 import json
 import math
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bpwave
 from bpwave import evalstats
 from bpwave.evalstats import (
     aami_check_quantity,
@@ -203,6 +207,13 @@ def test_pearson_p_value_indicator():
     assert pearson_p_value(0.9, 27260) == "< 1e-6"
     weak = pearson_p_value(0.05, 30)
     assert weak != "< 1e-6" and float(weak) > 0.5
+
+
+def test_import_leaves_scipy_unloaded():
+    """scipy costs about a second to import; only pearson_p_value loads it."""
+    src = str(pathlib.Path(bpwave.__file__).resolve().parents[1])
+    probe = f"import sys; sys.path.insert(0, {src!r}); import bpwave; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe]).returncode == 0
 
 
 # ------------------------------------------------------------- classification

@@ -135,15 +135,10 @@ def test_wrong_input_shape_rejected():
 
 def test_invalid_configs_rejected():
     with pytest.raises(ValueError):
-        UNet1DConfig(deep_supervision_weights=(1.0, 0.9, 0.8, 0.7)).validate()
-    with pytest.raises(ValueError):
-        UNet1DConfig(deep_supervision_weights=(0.9, 0.8, 0.7, 0.6, 0.5)).validate()
-    with pytest.raises(ValueError):
         UNet1DConfig(input_length=1000).validate()
+    # five supervision weights: a sixth level has none
     with pytest.raises(ValueError):
-        MultiResUNet1DConfig(alpha=-1.0).validate()
-    with pytest.raises(ValueError):
-        MultiResUNet1DConfig(res_path_lengths=(4, 3)).validate()
+        UNet1DConfig(filters_per_level=(2, 2, 2, 2, 2, 2), input_length=1024).validate()
 
 
 def test_multires_width_floor_keeps_stages_nonempty():
@@ -389,11 +384,7 @@ def test_multires_gradcheck_sampled():
 
 
 def test_two_level_unet_gradcheck_exhaustive():
-    cfg = UNet1DConfig(
-        filters_per_level=(2, 4),
-        deep_supervision_weights=(1.0, 0.9),
-        input_length=32,
-    )
+    cfg = UNet1DConfig(filters_per_level=(2, 4), input_length=32)
     net = build_unet1d(cfg, seed=1)
     rng = np.random.default_rng(11)
     x = rng.normal(size=(2, 1, 32))

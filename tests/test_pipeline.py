@@ -1,7 +1,8 @@
+import json
 import re
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -250,6 +251,33 @@ def test_bundle_roundtrip(tmp_path):
     save_bundle(bundle, tmp_path / "bundle")
     loaded = load_bundle(tmp_path / "bundle")
     np.testing.assert_array_equal(predict_waveform(loaded, ppg), before)
+
+
+def test_meta_json_records_every_config_field(tmp_path):
+    """A network is rebuilt from its meta.json section alone, so that section
+    holds every field of the network's config."""
+    save_bundle(tiny_bundle(), tmp_path)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    for stage, config in (("approx", models.UNet1DConfig), ("refine", models.MultiResUNet1DConfig)):
+        assert {f.name for f in fields(config)} == set(meta[stage]), stage
+
+
+def test_depth_two_bundle_roundtrip(tmp_path):
+    approx = models.build_unet1d(models.UNet1DConfig(filters_per_level=(3, 5)), seed=1)
+    refine = models.build_multiresunet1d(models.MultiResUNet1DConfig(base_widths=(2, 4)), seed=2)
+    approx.set_calibration(output_scale=25.0, output_offset=95.0)
+    refine.set_calibration(
+        input_scale=25.0, input_offset=95.0, output_scale=25.0, output_offset=95.0
+    )
+    bundle = PipelineBundle(approx_network=approx, refine_network=refine)
+    store = datapipe.synth_generate(3, seed=4)
+    save_bundle(bundle, tmp_path)
+    want, _ = batch_predict(bundle, store)
+    rows, failures = batch_predict(load_bundle(tmp_path), store)
+    assert failures == [] and len(rows) == 3
+    for row, ref in zip(rows, want):
+        assert row.pred_abp.tobytes() == ref.pred_abp.tobytes()
+        assert row.pred_bp == ref.pred_bp
 
 
 def test_bundle_version_check(tmp_path):

@@ -24,9 +24,7 @@ def corruptions(draw, raw):
 
 # two levels and a 4-sample input keep the checkpoint at a few hundred bytes,
 # so most flips land in names, ranks and dims rather than in payloads
-TINY_UNET = models.UNet1DConfig(
-    filters_per_level=(2, 3), input_length=4, deep_supervision_weights=(1.0, 0.9)
-)
+TINY_UNET = models.UNet1DConfig(filters_per_level=(2, 3), input_length=4)
 
 
 @pytest.fixture(scope="module")
