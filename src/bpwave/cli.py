@@ -146,7 +146,7 @@ def _build_parser():
 
 
 def _load_store(path):
-    if str(path).endswith(".csv"):
+    if str(path).lower().endswith(".csv"):
         store, dropped = datapipe.read_signal_csv(path)
         if dropped:
             print(f"dropped {dropped} window(s) violating sanity bounds", file=sys.stderr)

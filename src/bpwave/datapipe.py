@@ -8,6 +8,8 @@ externally prepared signals.
 
 import csv
 import math
+import sys
+import warnings
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -206,41 +208,84 @@ def read_store(path):
     return EpisodeStore(records, fs=fs).validate()
 
 
+# numpy type of each signal CSV column the importer reads; a subject id is
+# kept as the str the csv module would give
+_SIGNAL_CSV_COLUMNS = {"ppg": np.float64, "abp": np.float64, "subject_id": object}
+
+
 def read_signal_csv(path):
     """Import per-sample CSV (columns ppg, abp, subject_id) into a store.
 
-    Consecutive rows sharing a subject id form one continuous recording,
-    which is segmented into episodes. Returns (store, dropped_count).
+    The header is read with the csv module and the body in one pass of
+    numpy's C reader, with the same dialect: comma separated, fields may be
+    quoted with ", blank lines are skipped, and CRLF and LF line ends both
+    work. Other columns may appear in any order and are ignored, but every
+    row must have as many fields as the header. A malformed row raises
+    ValueError naming its line. Consecutive rows sharing a subject id form
+    one continuous recording, which is segmented into episodes. Returns
+    (store, dropped_count).
     """
-    runs = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"ppg", "abp", "subject_id"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"signal CSV needs columns {sorted(required)}, got {reader.fieldnames}")
-        current = None
-        for row in reader:
-            # DictReader fills the fields a short row lacks with None
-            ppg_v, abp_v, subject = row["ppg"], row["abp"], row["subject_id"]
-            if ppg_v is None or abp_v is None or subject is None:
-                raise ValueError(f"line {reader.line_num}: row has fewer fields than the header")
-            try:
-                ppg_v = float(ppg_v)
-                abp_v = float(abp_v)
-            except ValueError as exc:
-                raise ValueError(f"line {reader.line_num}: {exc}") from None
-            if current is None or subject != current[0]:
-                current = (subject, [], [])
-                runs.append(current)
-            current[1].append(ppg_v)
-            current[2].append(abp_v)
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        header_lines = reader.line_num
+    # a repeated column name means its last column, as with csv.DictReader
+    column = {name: i for i, name in enumerate(header or ())}
+    if not set(_SIGNAL_CSV_COLUMNS).issubset(column):
+        raise ValueError(f"signal CSV needs columns {sorted(_SIGNAL_CSV_COLUMNS)}, got {header}")
+    role = {column[name]: name for name in _SIGNAL_CSV_COLUMNS}
+    # an ignored column is parsed into a one-character string and dropped
+    dtype = [
+        (role[i], _SIGNAL_CSV_COLUMNS[role[i]]) if i in role else (f"unused{i}", "U1")
+        for i in range(len(header))
+    ]
+    try:
+        with warnings.catch_warnings():
+            # a header with no rows is an empty store, not a warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            # interning keeps one str per subject id, not one per row
+            table = np.loadtxt(path, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                               skiprows=header_lines, ndmin=1,
+                               converters={column["subject_id"]: sys.intern})
+    except ValueError as exc:
+        # numpy numbers rows, not lines, and skips blank ones: find the line.
+        # Its number syntax is a little stricter than float()'s (no digit
+        # group underscores); a row failing only that keeps numpy's message.
+        raise _first_bad_line(path, column, len(header)) or exc from None
+    subjects = table["subject_id"]
+    ppg = table["ppg"].copy()
+    abp = table["abp"].copy()
+    starts = np.flatnonzero(subjects[1:] != subjects[:-1]) + 1
+    runs = zip([0, *starts], [*starts, len(subjects)]) if len(subjects) else ()
     records = []
     dropped = 0
-    for subject, ppg, abp in runs:
-        recs, d = segment_episodes(np.array(ppg), np.array(abp), subject)
+    for start, stop in runs:
+        recs, d = segment_episodes(ppg[start:stop], abp[start:stop], subjects[start])
         records.extend(recs)
         dropped += d
     return EpisodeStore(records), dropped
+
+
+def _first_bad_line(path, column, width):
+    """The ValueError naming the first malformed row of a signal CSV, its
+    line numbered as csv.reader numbers it: a row with another field count
+    than the header, or a PPG or ABP field float() rejects. None if there
+    is no such row."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # the header
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != width:
+                side = "fewer" if len(row) < width else "more"
+                return ValueError(f"line {reader.line_num}: row has {side} fields than the header")
+            for name in ("ppg", "abp"):
+                try:
+                    float(row[column[name]])
+                except ValueError as exc:
+                    return ValueError(f"line {reader.line_num}: {exc}")
+    return None
 
 
 # ------------------------------------------------------------------ synthesis

@@ -25,15 +25,18 @@ def waveform_mae(pred, truth):
 
 
 def preprocess_ppg(ppg):
-    """The training-time input conditioning: wavelet denoise, then center."""
+    """The training-time input conditioning: wavelet denoise, then center.
+    Takes one window or a (B, L) stack, conditioned row by row."""
     return sigproc.mean_normalize(sigproc.denoise(ppg))
 
 
 def preprocess_store(store):
-    """Apply the PPG conditioning across a store; ABP passes through."""
+    """Apply the PPG conditioning across a store in one stacked call; ABP passes through."""
+    ppg = np.array([rec.ppg for rec in store], dtype=np.float64)
+    conditioned = preprocess_ppg(ppg.reshape(len(store), datapipe.EPISODE_SAMPLES))
     records = [
-        datapipe.EpisodeRecord(preprocess_ppg(rec.ppg), rec.abp.copy(), rec.subject_id)
-        for rec in store
+        datapipe.EpisodeRecord(x, rec.abp.copy(), rec.subject_id)
+        for x, rec in zip(conditioned, store)
     ]
     return datapipe.EpisodeStore(records, fs=store.fs)
 
@@ -139,15 +142,20 @@ PREDICT_STACK = 4
 _EPISODE_ERRORS = (ValueError, tensorops.ShapeError, tensorops.NumericalError)
 
 
-def _network_input(bundle, ppg):
-    """Check one PPG window's shape and values, then condition it as in training."""
+def _checked_window(bundle, ppg):
+    """One PPG window, checked for the network's input length and finite samples."""
     ppg = np.asarray(ppg, dtype=np.float64)
     length = bundle.input_length()
     if ppg.shape != (length,):
         raise ValueError(f"expected a 1-D window of {length} samples, got shape {ppg.shape}")
     if not np.all(np.isfinite(ppg)):
         raise ValueError("input contains non-finite samples")
-    return preprocess_ppg(ppg) if bundle.preprocess else ppg
+    return ppg
+
+
+def _network_inputs(bundle, windows):
+    """(B, L) checked windows, conditioned as in training."""
+    return preprocess_ppg(windows) if bundle.preprocess else windows
 
 
 def _cascade(bundle, x):
@@ -165,7 +173,7 @@ def _cascade(bundle, x):
 
 def predict_waveform(bundle, ppg):
     """Predict the pressure waveform for one PPG window (mmHg)."""
-    return _cascade(bundle, _network_input(bundle, ppg)[None])[0]
+    return _cascade(bundle, _network_inputs(bundle, _checked_window(bundle, ppg)[None]))[0]
 
 
 @dataclass
@@ -182,12 +190,12 @@ class PredictionRow:
 def batch_predict(bundle, store):
     """Run the pipeline over a store; failing episodes are skipped, not fatal.
 
-    Each chunk of PREDICT_STACK episodes is validated and conditioned one
-    by one, then its valid episodes run as one stacked forward. If that
-    forward raises, they run again one at a time, so only the failing ones
-    are skipped. Every row is bitwise what predict_waveform gives for its
-    episode alone. Returns (rows, failures) where failures is a list of
-    (index, message) in episode order.
+    Each chunk of PREDICT_STACK episodes is validated one by one, then its
+    valid episodes are conditioned as one stack and run as one stacked
+    forward. If that forward raises, they run again one at a time, so only
+    the failing ones are skipped. Every row is bitwise what predict_waveform
+    gives for its episode alone. Returns (rows, failures) where failures is
+    a list of (index, message) in episode order.
     """
     rows = []
     failures = []
@@ -195,16 +203,17 @@ def batch_predict(bundle, store):
         stack = []
         for i in range(start, min(start + PREDICT_STACK, len(store))):
             try:
-                stack.append((i, _network_input(bundle, store[i].ppg)))
-            except _EPISODE_ERRORS as exc:
+                stack.append((i, _checked_window(bundle, store[i].ppg)))
+            except ValueError as exc:
                 failures.append((i, str(exc)))
         if not stack:
             continue
+        inputs = _network_inputs(bundle, np.stack([x for _, x in stack]))
         try:
-            preds = list(_cascade(bundle, np.stack([x for _, x in stack])))
+            preds = list(_cascade(bundle, inputs))
         except _EPISODE_ERRORS:
             preds = [None] * len(stack)  # each episode runs again on its own below
-        for (i, x), pred in zip(stack, preds):
+        for (i, _), x, pred in zip(stack, inputs, preds):
             rec = store[i]
             try:
                 if pred is None:

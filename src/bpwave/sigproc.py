@@ -1,9 +1,10 @@
 """Wavelet-based denoising and quality metrics for 1D physiological signals.
 
 Signals are plain 1-D float64 arrays, sampled uniformly (125 Hz by
-convention for the pressure pipeline). The transform is the orthogonal
-Daubechies-8 DWT with periodized boundaries, so dyadic-length inputs
-decompose with exact halving and reconstruct perfectly.
+convention for the pressure pipeline); denoise and mean_normalize also take
+a (B, L) stack of windows and treat each row as its own signal. The
+transform is the orthogonal Daubechies-8 DWT with periodized boundaries, so
+dyadic-length inputs decompose with exact halving and reconstruct perfectly.
 """
 
 import math
@@ -16,16 +17,43 @@ DENOISE_LEVELS = 10
 # MAD -> sigma for Gaussian noise (Phi^-1(0.75))
 MAD_SCALE = 0.6745
 
+# A level with fewer coefficients per window than this filters each window
+# with its own product. OpenBLAS (Haswell kernels) sums the last rows of a
+# short matrix-vector product in another order than the same rows inside a
+# long one: one flattened product over a stack differed from the
+# single-window result at n/2 = 2 and 1. Running the deepest four levels
+# (n/2 = 8 ... 1) per window leaves a margin for other kernels.
+_FLAT_FILTER_MIN_ROWS = 16
 
-def _as_signal(x, min_len=1):
+# denoise works through a stack this many windows at a time. The finest
+# level's 16-tap gather, and its synthesis terms with their bin indices,
+# take up to 200 KB per 1024-sample window, so a chunk stays near 3 MB and
+# preprocessing a store costs less transient memory than importing its CSV.
+_DENOISE_STACK = 16
+
+
+def _as_signal(x, min_len=1, stack=False):
+    """x as float64, checked: 1-D (or, with stack=True, a (B, L) stack of
+    rows), at least min_len samples long, all finite."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected 1-D signal, got shape {x.shape}")
-    if x.size < min_len:
-        raise ValueError(f"signal too short: {x.size} < {min_len}")
+    if x.ndim != 1 and not (stack and x.ndim == 2):
+        kind = "a 1-D signal or a (B, L) stack" if stack else "1-D signal"
+        raise ValueError(f"expected {kind}, got shape {x.shape}")
+    if x.shape[-1] < min_len:
+        raise ValueError(f"signal too short: {x.shape[-1]} < {min_len}")
     if not np.all(np.isfinite(x)):
         raise ValueError("signal contains non-finite values")
     return x
+
+
+def _check_dyadic(length, levels):
+    if levels < 1:
+        raise ValueError("levels must be >= 1")
+    if length % (1 << levels) != 0:
+        raise ValueError(
+            f"signal length {length} is not divisible by 2^{levels}; "
+            "periodized decomposition requires exact halving"
+        )
 
 
 @dataclass(frozen=True)
@@ -106,34 +134,45 @@ class WaveletDecomposition:
         return WaveletDecomposition(self.approx.copy(), [d.copy() for d in self.details])
 
 
+def _filter_rows(windows, taps):
+    """(B, m, K) windows times (K,) taps -> (B, m); each row bitwise equal to
+    its window's own product."""
+    rows, m, k = windows.shape
+    if m >= _FLAT_FILTER_MIN_ROWS:
+        return (windows.reshape(rows * m, k) @ taps).reshape(rows, m)
+    out = np.empty((rows, m))
+    for window, row in zip(windows, out):
+        row[:] = window @ taps
+    return out
+
+
 def _analysis_step(x, bank):
-    n = x.size
+    """One level over a (B, n) stack: (B, n/2) approximation and detail rows."""
+    n = x.shape[1]
     taps = bank.dec_lowpass.size
     idx = (2 * np.arange(n // 2)[:, None] + np.arange(taps)[None, :]) % n
-    windows = x[idx]
-    return windows @ bank.dec_lowpass, windows @ bank.dec_highpass
+    # C order, as one window's gather is: a strided window's product sums
+    # in another order
+    windows = np.take(x, idx, axis=1)
+    return _filter_rows(windows, bank.dec_lowpass), _filter_rows(windows, bank.dec_highpass)
 
 
 def _synthesis_step(approx, detail, bank):
-    half = approx.size
+    """Invert one level over (B, n/2) stacks. One bincount covers the stack;
+    each row's bins are offset by n, so every bin sums its terms in the same
+    order as for that row alone."""
+    rows, half = approx.shape
     n = 2 * half
     taps = bank.dec_lowpass.size
     idx = (2 * np.arange(half)[:, None] + np.arange(taps)[None, :]) % n
-    vals = approx[:, None] * bank.dec_lowpass[None, :] + detail[:, None] * bank.dec_highpass[None, :]
-    return np.bincount(idx.ravel(), weights=vals.ravel(), minlength=n)
+    bins = idx[None, :, :] + n * np.arange(rows)[:, None, None]
+    vals = approx[:, :, None] * bank.dec_lowpass
+    vals += detail[:, :, None] * bank.dec_highpass
+    return np.bincount(bins.ravel(), weights=vals.ravel(), minlength=rows * n).reshape(rows, n)
 
 
-def dwt_decompose(signal, levels=DENOISE_LEVELS, bank=DB8):
-    """Decompose a dyadic-length signal into a periodized coefficient pyramid."""
-    x = _as_signal(signal)
-    levels = int(levels)
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    if x.size % (1 << levels) != 0:
-        raise ValueError(
-            f"signal length {x.size} is not divisible by 2^{levels}; "
-            "periodized decomposition requires exact halving"
-        )
+def _decompose_rows(x, levels, bank):
+    """Pyramid of a (B, n) stack; every band is a (B, m) stack of rows."""
     details = []
     approx = x
     for _ in range(levels):
@@ -142,18 +181,36 @@ def dwt_decompose(signal, levels=DENOISE_LEVELS, bank=DB8):
     return WaveletDecomposition(approx=approx, details=details)
 
 
-def dwt_reconstruct(decomp, bank=DB8):
-    """Invert dwt_decompose; band lengths must form a consistent pyramid."""
-    x = np.asarray(decomp.approx, dtype=np.float64)
-    for level, detail in enumerate(reversed(decomp.details)):
-        detail = np.asarray(detail, dtype=np.float64)
-        if detail.size != x.size:
-            raise ValueError(
-                f"inconsistent pyramid: detail band {decomp.levels - level} has "
-                f"{detail.size} coefficients, expected {x.size}"
-            )
+def _reconstruct_rows(decomp, bank):
+    x = decomp.approx
+    for detail in reversed(decomp.details):
         x = _synthesis_step(x, detail, bank)
     return x
+
+
+def dwt_decompose(signal, levels=DENOISE_LEVELS, bank=DB8):
+    """Decompose a dyadic-length signal into a periodized coefficient pyramid."""
+    x = _as_signal(signal)
+    levels = int(levels)
+    _check_dyadic(x.size, levels)
+    stacked = _decompose_rows(x[None], levels, bank)
+    return WaveletDecomposition(approx=stacked.approx[0], details=[d[0] for d in stacked.details])
+
+
+def dwt_reconstruct(decomp, bank=DB8):
+    """Invert dwt_decompose; band lengths must form a consistent pyramid."""
+    approx = np.asarray(decomp.approx, dtype=np.float64)
+    details = [np.asarray(d, dtype=np.float64) for d in decomp.details]
+    size = approx.size
+    for level, detail in enumerate(reversed(details)):
+        if detail.size != size:
+            raise ValueError(
+                f"inconsistent pyramid: detail band {decomp.levels - level} has "
+                f"{detail.size} coefficients, expected {size}"
+            )
+        size *= 2
+    stacked = WaveletDecomposition(approx=approx[None], details=[d[None] for d in details])
+    return _reconstruct_rows(stacked, bank)[0]
 
 
 def zero_extreme_bands(decomp):
@@ -169,11 +226,22 @@ def zero_extreme_bands(decomp):
 
 
 def soft_threshold(x, t):
-    """Shrink toward zero: sign(x) * max(|x| - t, 0)."""
-    if t < 0:
+    """Shrink toward zero: sign(x) * max(|x| - t, 0). t may be an array that
+    broadcasts against x, such as one threshold per row."""
+    if np.any(np.asarray(t) < 0):
         raise ValueError("threshold must be non-negative")
     x = np.asarray(x, dtype=np.float64)
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+
+
+def _sure_thresholds(c):
+    """sure_threshold of each row of a (B, n) stack."""
+    sq = np.sort(c * c, axis=-1)
+    n = sq.shape[-1]
+    k = np.arange(1, n + 1, dtype=np.float64)
+    risk = (n - 2.0 * k + np.cumsum(sq, axis=-1) + (n - k) * sq) / n
+    best = np.argmin(risk, axis=-1)  # argmin returns the first minimum
+    return np.sqrt(sq[np.arange(len(sq)), best])
 
 
 def sure_threshold(coeffs):
@@ -189,36 +257,42 @@ def sure_threshold(coeffs):
     c = np.asarray(coeffs, dtype=np.float64)
     if c.size == 0:
         raise ValueError("cannot select a threshold from empty coefficients")
-    sq = np.sort(c * c)
-    n = sq.size
-    k = np.arange(1, n + 1, dtype=np.float64)
-    risk = (n - 2.0 * k + np.cumsum(sq) + (n - k) * sq) / n
-    best = int(np.argmin(risk))  # argmin returns the first minimum
-    return float(math.sqrt(sq[best]))
+    return float(_sure_thresholds(c.reshape(1, -1))[0])
+
+
+def _denoise_rows(x, levels, bank):
+    decomp = zero_extreme_bands(_decompose_rows(x, levels, bank))
+    for d in decomp.details[1:]:
+        sigma = np.median(np.abs(d), axis=-1) / MAD_SCALE
+        live = sigma > 0.0  # a row with no noise estimate keeps this level as is
+        band, scale = d[live], sigma[live, None]
+        t = _sure_thresholds(band / scale)
+        d[live] = soft_threshold(band, t[:, None] * scale)
+    return _reconstruct_rows(decomp, bank)
 
 
 def denoise(signal, levels=DENOISE_LEVELS, bank=DB8):
-    """Wavelet-denoise one 1024-sample window.
+    """Wavelet-denoise one 1024-sample window, or each row of a (B, L) stack.
 
     Decomposes, kills the extreme bands, then soft-thresholds each retained
     detail level with a SURE threshold chosen on the level rescaled by its
-    own MAD noise estimate.
+    own MAD noise estimate. Each row of a stack comes out bitwise equal to
+    denoising that window alone.
     """
-    x = _as_signal(signal, min_len=1 << levels)
-    decomp = zero_extreme_bands(dwt_decompose(x, levels, bank))
-    for d in decomp.details[1:]:
-        sigma = float(np.median(np.abs(d))) / MAD_SCALE
-        if sigma <= 0.0:
-            continue
-        t = sure_threshold(d / sigma)
-        d[:] = soft_threshold(d, t * sigma)
-    return dwt_reconstruct(decomp, bank)
+    x = _as_signal(signal, min_len=1 << levels, stack=True)
+    _check_dyadic(x.shape[-1], levels)
+    rows = x.reshape(-1, x.shape[-1])
+    out = np.empty_like(rows)
+    for start in range(0, len(rows), _DENOISE_STACK):
+        part = slice(start, start + _DENOISE_STACK)
+        out[part] = _denoise_rows(rows[part], levels, bank)
+    return out.reshape(x.shape)
 
 
 def mean_normalize(signal):
-    """Subtract the sample mean."""
-    x = _as_signal(signal)
-    return x - x.mean()
+    """Subtract the sample mean of a signal, or of each row of a (B, L) stack."""
+    x = _as_signal(signal, stack=True)
+    return x - x.mean(axis=-1, keepdims=True)
 
 
 def skewness_sqi(signal):

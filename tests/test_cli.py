@@ -120,12 +120,18 @@ def test_split_subsample(synth_store, tmp_path):
     assert kept <= 24
 
 
-def test_csv_import_via_preprocess(tmp_path, capsys):
-    csv_path = tmp_path / "signals.csv"
+def signal_csv_rows():
+    """Header and 1024 rows of one subject: one episode."""
     rows = ["ppg,abp,subject_id"]
     rng = np.random.default_rng(0)
     for i in range(1024):
         rows.append(f"{rng.normal():.6f},{100 + 10 * np.sin(i / 40):.4f},subj")
+    return rows
+
+
+def test_csv_import_via_preprocess(tmp_path, capsys):
+    csv_path = tmp_path / "signals.csv"
+    rows = signal_csv_rows()
     csv_path.write_text("\n".join(rows) + "\n")
     out = tmp_path / "out.p2a"
     assert run("preprocess", "--in", str(csv_path), "--out", str(out)) == 0
@@ -134,6 +140,18 @@ def test_csv_import_via_preprocess(tmp_path, capsys):
     csv_path.write_text("\n".join(rows + ["0.5"]) + "\n")
     assert run("preprocess", "--in", str(csv_path), "--out", str(tmp_path / "short.p2a")) == 2
     assert "line 1026" in capsys.readouterr().err
+    # so is a row with more fields than the header names
+    csv_path.write_text("\n".join(rows + ["0.1,90,subj,oops,7"]) + "\n")
+    assert run("preprocess", "--in", str(csv_path), "--out", str(tmp_path / "long.p2a")) == 2
+    assert "line 1026" in capsys.readouterr().err
+
+
+def test_csv_suffix_in_any_case(tmp_path):
+    csv_path = tmp_path / "SIGNALS.CSV"
+    csv_path.write_text("\n".join(signal_csv_rows()) + "\n")
+    out = tmp_path / "out.p2a"
+    assert run("preprocess", "--in", str(csv_path), "--out", str(out)) == 0
+    assert len(datapipe.read_store(out)) == 1
 
 
 def test_train_config_file_and_overrides(tmp_path, synth_store):

@@ -236,11 +236,66 @@ def test_csv_import(tmp_path):
 
 def test_csv_import_bad_value_names_line(tmp_path):
     path = tmp_path / "bad.csv"
-    # a bad float, then rows short of one and of two fields
-    for bad_row in ("oops,90,a", "0.5,90", "0.5"):
+    # a bad float, rows short of one and of two fields, and a row with two
+    # fields more than the header
+    for bad_row in ("oops,90,a", "0.5,90", "0.5", "0.1,90,a,oops,7"):
         path.write_text(f"ppg,abp,subject_id\n0.1,90,a\n{bad_row}\n")
         with pytest.raises(ValueError, match="line 3"):
             read_signal_csv(path)
+
+
+def hand_written_signal(n):
+    """PPG and ABP samples whose reprs a CSV holds and float() reads back exactly."""
+    i = np.arange(n)
+    return np.round(np.sin(i / 7.0), 6), 100.0 + (i % 23) * 0.5
+
+
+def test_csv_import_dialect(tmp_path):
+    """What the importer reads as the csv module reads it: blank lines,
+    CRLF line ends, quoted fields and columns in any order, each compared
+    with a store written out by hand."""
+    path = tmp_path / "signals.csv"
+    ppg, abp = hand_written_signal(2100)
+    p_list, a_list = ppg.tolist(), abp.tolist()  # floats, whose repr is the CSV text
+
+    # blank lines mid-file are skipped; a bad float after them names its
+    # physical line (header 1, 300 rows, 2 blank lines, 400 rows: line 704)
+    rows = [f"{p!r},{a!r},a" for p, a in zip(p_list[:1100], a_list[:1100])]
+    path.write_text("\n".join(["ppg,abp,subject_id"] + rows[:300] + ["", ""] + rows[300:]) + "\n")
+    store, dropped = read_signal_csv(path)
+    assert dropped == 0
+    assert store.equals(EpisodeStore([EpisodeRecord(ppg[:1024], abp[:1024], "a")]))
+    bad = rows[:300] + ["", ""] + rows[300:700] + ["0.1,oops,a"] + rows[700:]
+    path.write_text("\n".join(["ppg,abp,subject_id"] + bad) + "\n")
+    with pytest.raises(ValueError, match="^line 704: "):
+        read_signal_csv(path)
+
+    # CRLF line ends, two subjects
+    rows = [f"{p!r},{a!r},{s}" for p, a, s in zip(p_list, a_list, ["a"] * 1030 + ["b"] * 1070)]
+    path.write_bytes(("\r\n".join(["ppg,abp,subject_id"] + rows) + "\r\n").encode())
+    store, dropped = read_signal_csv(path)
+    assert dropped == 0
+    assert store.equals(EpisodeStore([
+        EpisodeRecord(ppg[:1024], abp[:1024], "a"),
+        EpisodeRecord(ppg[1030:2054], abp[1030:2054], "b"),
+    ]))
+
+    # a quoted subject id holding the delimiter and a doubled quote
+    rows = [f'"{p!r}",{a!r},"ward 3, bed ""7"""' for p, a in zip(p_list[:1030], a_list[:1030])]
+    path.write_text("\n".join(["ppg,abp,subject_id"] + rows) + "\n")
+    store, dropped = read_signal_csv(path)
+    assert dropped == 0
+    assert store.equals(EpisodeStore([EpisodeRecord(ppg[:1024], abp[:1024], 'ward 3, bed "7"')]))
+
+    # columns in another order plus one the importer does not use; the
+    # second window leaves the ABP sanity range and is dropped
+    high = abp.copy()
+    high[1500] = 400.0
+    rows = [f"s1,{a!r},{p!r},left" for p, a in zip(p_list, high.tolist())]
+    path.write_text("\n".join(["subject_id,abp,ppg,site"] + rows) + "\n")
+    store, dropped = read_signal_csv(path)
+    assert dropped == 1
+    assert store.equals(EpisodeStore([EpisodeRecord(ppg[:1024], abp[:1024], "s1")]))
 
 
 def test_csv_import_missing_columns(tmp_path):

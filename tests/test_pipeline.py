@@ -139,6 +139,17 @@ def test_preprocess_store_keeps_abp():
         assert abs(b.ppg.mean()) < 1e-10
 
 
+def test_preprocess_store_equals_per_record_conditioning():
+    store = datapipe.synth_generate(6, seed=21)
+    prep = preprocess_store(store)
+    assert len(prep) == len(store) and prep.fs == store.fs
+    for a, b in zip(store, prep):
+        assert b.subject_id == a.subject_id
+        assert b.ppg.tobytes() == preprocess_ppg(a.ppg).tobytes()
+        assert b.abp.tobytes() == a.abp.tobytes()
+    assert len(preprocess_store(datapipe.EpisodeStore([]))) == 0
+
+
 # ------------------------------------------------------------------ inference
 
 def test_identity_stubs_reduce_to_preprocessing():

@@ -52,6 +52,35 @@ def sure_risk_scan_oracle(coeffs):
     return math.sqrt(sq[best_k - 1])
 
 
+def denoise_reference(x, levels=10):
+    """Single-window denoising written out level by level with the same
+    products, reductions and bincount per level as the library, so its
+    result is bitwise the library's; the stacked code is checked against it."""
+    h, g = DB8.dec_lowpass, DB8.dec_highpass
+    approx, details = np.asarray(x, dtype=np.float64), []
+    for _ in range(levels):
+        n = approx.size
+        windows = approx[(2 * np.arange(n // 2)[:, None] + np.arange(16)[None, :]) % n]
+        approx, detail = windows @ h, windows @ g
+        details.append(detail)
+    details[0] = np.zeros_like(details[0])
+    for d in details[1:]:
+        sigma = float(np.median(np.abs(d))) / sigproc.MAD_SCALE
+        if sigma <= 0.0:
+            continue
+        sq = np.sort((d / sigma) ** 2)
+        k = np.arange(1, sq.size + 1, dtype=np.float64)
+        risk = (sq.size - 2.0 * k + np.cumsum(sq) + (sq.size - k) * sq) / sq.size
+        t = math.sqrt(sq[int(np.argmin(risk))]) * sigma
+        d[:] = np.sign(d) * np.maximum(np.abs(d) - t, 0.0)
+    y = np.zeros_like(approx)
+    for d in reversed(details):
+        n = 2 * d.size
+        idx = (2 * np.arange(d.size)[:, None] + np.arange(16)[None, :]) % n
+        y = np.bincount(idx.ravel(), weights=(y[:, None] * h + d[:, None] * g).ravel(), minlength=n)
+    return y
+
+
 def band_energy(x):
     x = np.asarray(x, dtype=np.float64)
     return float(x @ x)
@@ -281,6 +310,56 @@ def test_denoise_energy_idempotent():
     assert band_energy(twice) <= band_energy(once) + 1e-9
 
 
+def window_stack(rows, seed=0):
+    """(rows, 1024) windows of varied scale and offset; with room for them,
+    a constant row (every noise estimate is 0, so every level is skipped),
+    a zero row and a sparse row (some levels skipped, some shrunk)."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, 1024)) * rng.uniform(0.01, 100.0, size=(rows, 1)) + rng.uniform(-50, 50, size=(rows, 1))
+    x[0] = 3.0
+    if rows > 1:
+        x[-1] = 0.0
+    if rows > 2:
+        x[1] = 0.0
+        x[1, ::97] = rng.normal(size=x[1, ::97].size)
+    return x
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 50])
+def test_stacked_denoise_rows_match_single_windows(rows):
+    x = window_stack(rows, seed=rows)
+    out = denoise(x)
+    assert out.shape == x.shape
+    for i in range(rows):
+        assert out[i].tobytes() == denoise(x[i]).tobytes()
+
+
+def test_denoise_matches_the_single_window_reference():
+    x = window_stack(6, seed=11)
+    out = denoise(x)
+    for i in range(6):
+        expected = denoise_reference(x[i]).tobytes()
+        assert denoise(x[i]).tobytes() == expected
+        assert out[i].tobytes() == expected
+
+
+def test_stacked_denoise_rejects_bad_input():
+    x = window_stack(3)
+    x[1, 10] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        denoise(x)
+    with pytest.raises(ValueError):
+        denoise(np.zeros((3, 1000)))  # not divisible by 2^10
+    with pytest.raises(ValueError):
+        denoise(np.zeros((3, 512)))  # shorter than 2^10
+    with pytest.raises(ValueError):
+        denoise(np.zeros((2, 3, 1024)))
+
+
+def test_stacked_denoise_of_no_windows():
+    assert denoise(np.zeros((0, 1024))).shape == (0, 1024)
+
+
 # ---------------------------------------------------------------- normalize / SQI
 
 def test_mean_normalize_small_case():
@@ -290,6 +369,16 @@ def test_mean_normalize_small_case():
 def test_mean_normalize_zero_mean_unchanged():
     x = np.array([-2.0, 1.0, 1.0])
     np.testing.assert_allclose(mean_normalize(x), x, atol=1e-15)
+
+
+def test_mean_normalize_rows_of_a_stack():
+    x = window_stack(5)
+    out = mean_normalize(x)
+    for i in range(5):
+        assert out[i].tobytes() == mean_normalize(x[i]).tobytes()
+    x[2, 0] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        mean_normalize(x)
 
 
 @given(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=256))
