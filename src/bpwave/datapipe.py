@@ -244,13 +244,13 @@ def read_signal_csv(path):
             # a header with no rows is an empty store, not a warning
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             # interning keeps one str per subject id, not one per row
+            # encoding=None decodes as open() does and hands converters str,
+            # where numpy < 2 defaults to latin-1 bytes
             table = np.loadtxt(path, dtype=dtype, delimiter=",", quotechar='"', comments=None,
-                               skiprows=header_lines, ndmin=1,
+                               skiprows=header_lines, ndmin=1, encoding=None,
                                converters={column["subject_id"]: sys.intern})
     except ValueError as exc:
-        # numpy numbers rows, not lines, and skips blank ones: find the line.
-        # Its number syntax is a little stricter than float()'s (no digit
-        # group underscores); a row failing only that keeps numpy's message.
+        # numpy numbers rows, not lines, and skips blank ones: find the line
         raise _first_bad_line(path, column, len(header)) or exc from None
     subjects = table["subject_id"]
     ppg = table["ppg"].copy()
@@ -269,8 +269,8 @@ def read_signal_csv(path):
 def _first_bad_line(path, column, width):
     """The ValueError naming the first malformed row of a signal CSV, its
     line numbered as csv.reader numbers it: a row with another field count
-    than the header, or a PPG or ABP field float() rejects. None if there
-    is no such row."""
+    than the header, or a PPG or ABP field that float() or numpy's parser
+    rejects. None if there is no such row."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)  # the header
@@ -281,10 +281,16 @@ def _first_bad_line(path, column, width):
                 side = "fewer" if len(row) < width else "more"
                 return ValueError(f"line {reader.line_num}: row has {side} fields than the header")
             for name in ("ppg", "abp"):
+                text = row[column[name]]
                 try:
-                    float(row[column[name]])
+                    float(text)
                 except ValueError as exc:
                     return ValueError(f"line {reader.line_num}: {exc}")
+                # numpy also rejects digit-group underscores and non-ASCII digits
+                if "_" in text or not text.strip().isascii():
+                    return ValueError(
+                        f"line {reader.line_num}: could not convert string to float: {text!r}"
+                    )
     return None
 
 

@@ -192,10 +192,10 @@ def batch_predict(bundle, store):
 
     Each chunk of PREDICT_STACK episodes is validated one by one, then its
     valid episodes are conditioned as one stack and run as one stacked
-    forward. If that forward raises, they run again one at a time, so only
-    the failing ones are skipped. Every row is bitwise what predict_waveform
-    gives for its episode alone. Returns (rows, failures) where failures is
-    a list of (index, message) in episode order.
+    forward. If conditioning or the forward raises, they run again one at a
+    time, so only the failing ones are skipped. Every row is bitwise what
+    predict_waveform gives for its episode alone. Returns (rows, failures)
+    where failures is a list of (index, message) in episode order.
     """
     rows = []
     failures = []
@@ -208,16 +208,16 @@ def batch_predict(bundle, store):
                 failures.append((i, str(exc)))
         if not stack:
             continue
-        inputs = _network_inputs(bundle, np.stack([x for _, x in stack]))
+        windows = np.stack([x for _, x in stack])
         try:
-            preds = list(_cascade(bundle, inputs))
+            preds = list(_cascade(bundle, _network_inputs(bundle, windows)))
         except _EPISODE_ERRORS:
             preds = [None] * len(stack)  # each episode runs again on its own below
-        for (i, _), x, pred in zip(stack, inputs, preds):
+        for (i, x), pred in zip(stack, preds):
             rec = store[i]
             try:
                 if pred is None:
-                    pred = _cascade(bundle, x[None])[0]
+                    pred = _cascade(bundle, _network_inputs(bundle, x[None]))[0]
                 rows.append(
                     PredictionRow(
                         index=i,

@@ -7,6 +7,7 @@ transform is the orthogonal Daubechies-8 DWT with periodized boundaries, so
 dyadic-length inputs decompose with exact halving and reconstruct perfectly.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,14 +17,6 @@ DENOISE_LEVELS = 10
 
 # MAD -> sigma for Gaussian noise (Phi^-1(0.75))
 MAD_SCALE = 0.6745
-
-# A level with fewer coefficients per window than this filters each window
-# with its own product. OpenBLAS (Haswell kernels) sums the last rows of a
-# short matrix-vector product in another order than the same rows inside a
-# long one: one flattened product over a stack differed from the
-# single-window result at n/2 = 2 and 1. Running the deepest four levels
-# (n/2 = 8 ... 1) per window leaves a margin for other kernels.
-_FLAT_FILTER_MIN_ROWS = 16
 
 # denoise works through a stack this many windows at a time. The finest
 # level's 16-tap gather, and its synthesis terms with their bin indices,
@@ -135,22 +128,32 @@ class WaveletDecomposition:
 
 
 def _filter_rows(windows, taps):
-    """(B, m, K) windows times (K,) taps -> (B, m); each row bitwise equal to
-    its window's own product."""
-    rows, m, k = windows.shape
-    if m >= _FLAT_FILTER_MIN_ROWS:
-        return (windows.reshape(rows * m, k) @ taps).reshape(rows, m)
-    out = np.empty((rows, m))
+    """(B, m, K) windows times (K,) taps -> (B, m). Each window is its own
+    (m, K) @ (K,) product, the call that window alone makes, so each row is
+    bitwise that window's result whatever the BLAS. One product over the
+    flattened stack is not: OpenBLAS 0.3.31 summed the rows of windows one
+    or two coefficients long in another order (SkylakeX, Haswell,
+    Sandybridge, Nehalem and Katmai kernels), and the stack's row count, not
+    the window's, decides how BLAS splits a product across threads."""
+    out = np.empty(windows.shape[:2])
     for window, row in zip(windows, out):
         row[:] = window @ taps
     return out
 
 
+@functools.lru_cache(maxsize=32)
+def _filter_positions(n, taps):
+    """(n/2, taps) sample indices under each filter position of a
+    periodized length-n signal, read-only. One denoise of 1024-sample
+    windows uses 10 lengths, so each is built once per process."""
+    idx = (2 * np.arange(n // 2)[:, None] + np.arange(taps)[None, :]) % n
+    idx.flags.writeable = False
+    return idx
+
+
 def _analysis_step(x, bank):
     """One level over a (B, n) stack: (B, n/2) approximation and detail rows."""
-    n = x.shape[1]
-    taps = bank.dec_lowpass.size
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(taps)[None, :]) % n
+    idx = _filter_positions(x.shape[1], bank.dec_lowpass.size)
     # C order, as one window's gather is: a strided window's product sums
     # in another order
     windows = np.take(x, idx, axis=1)
@@ -163,9 +166,8 @@ def _synthesis_step(approx, detail, bank):
     order as for that row alone."""
     rows, half = approx.shape
     n = 2 * half
-    taps = bank.dec_lowpass.size
-    idx = (2 * np.arange(half)[:, None] + np.arange(taps)[None, :]) % n
-    bins = idx[None, :, :] + n * np.arange(rows)[:, None, None]
+    idx = _filter_positions(n, bank.dec_lowpass.size)
+    bins = idx if rows == 1 else idx + n * np.arange(rows)[:, None, None]
     vals = approx[:, :, None] * bank.dec_lowpass
     vals += detail[:, :, None] * bank.dec_highpass
     return np.bincount(bins.ravel(), weights=vals.ravel(), minlength=rows * n).reshape(rows, n)

@@ -236,9 +236,9 @@ def test_csv_import(tmp_path):
 
 def test_csv_import_bad_value_names_line(tmp_path):
     path = tmp_path / "bad.csv"
-    # a bad float, rows short of one and of two fields, and a row with two
-    # fields more than the header
-    for bad_row in ("oops,90,a", "0.5,90", "0.5", "0.1,90,a,oops,7"):
+    # a bad float, one float() reads and numpy does not, rows short of one
+    # and of two fields, and a row with two fields more than the header
+    for bad_row in ("oops,90,a", "1_0,90,a", "0.5,90", "0.5", "0.1,90,a,oops,7"):
         path.write_text(f"ppg,abp,subject_id\n0.1,90,a\n{bad_row}\n")
         with pytest.raises(ValueError, match="line 3"):
             read_signal_csv(path)

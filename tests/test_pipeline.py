@@ -207,6 +207,18 @@ def test_batch_predict_skips_failures():
     assert [r.index for r in rows] == [0, 2]
 
 
+def test_batch_predict_skips_a_window_whose_conditioning_overflows():
+    bundle = tiny_bundle(seed=3)
+    store = datapipe.synth_generate(3, seed=4)
+    store.records[1].ppg[:] = 1e308  # finite, but the wavelet transform overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows, failures = batch_predict(bundle, store)
+    assert [i for i, _ in failures] == [1] and "non-finite" in failures[0][1]
+    assert [r.index for r in rows] == [0, 2]
+    for row in rows:
+        np.testing.assert_array_equal(row.pred_abp, predict_waveform(bundle, store[row.index].ppg))
+
+
 class MarkerNetwork:
     """Test double: a real network that raises on any stack holding a marker episode."""
 
