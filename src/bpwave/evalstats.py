@@ -5,11 +5,11 @@ import csv
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .pipeline import PREDICTION_COLUMNS, BPValues
+from .pipeline import PREDICTION_COLUMNS
 
 QUANTITIES = ("dbp", "map", "sbp")
 BHS_THRESHOLDS_MMHG = (5.0, 10.0, 15.0)
@@ -23,6 +23,8 @@ AAMI_MAX_MEAN_ERROR = 5.0
 AAMI_MAX_STD = 8.0
 AAMI_MIN_SUBJECTS = 85
 HYPERTENSION_CLASSES = ("Normotension", "Prehypertension", "Hypertension")
+# upper limits (mmHg, inclusive) of the first two classes under each rule set
+HYPERTENSION_LIMITS = {"dbp": (80.0, 90.0), "sbp": (120.0, 140.0)}
 
 
 # ------------------------------------------------------------------ BHS / AAMI
@@ -35,8 +37,7 @@ class BHSResult:
 
 def bhs_grade_from_percentages(percentages):
     """Best grade whose three cumulative thresholds are all met; else D."""
-    for candidate in ("A", "B", "C"):
-        required = BHS_GRADE_TABLE[candidate]
+    for candidate, required in BHS_GRADE_TABLE.items():
         if all(p >= r for p, r in zip(percentages, required)):
             return candidate
     return "D"
@@ -122,36 +123,59 @@ def pearson(pred, truth):
 
 
 def pearson_p_value(r, n):
-    """Two-sided significance, reported as '< 1e-6' past that resolution."""
+    """Two-sided significance from Student's t with n - 2 degrees of freedom,
+    p = I_{1-r^2}((n-2)/2, 1/2), reported as '< 1e-6' past that resolution."""
     if n < 3:
         return "n/a"
     r = min(1.0, max(-1.0, r))
     if abs(r) == 1.0:
         return "< 1e-6"
-    from scipy import stats  # here, not at module load: about 1 s of import time
-
-    t = abs(r) * math.sqrt((n - 2) / (1.0 - r * r))
-    p = 2.0 * float(stats.t.sf(t, df=n - 2))
+    p = _regularized_beta((n - 2) / 2.0, 0.5, 1.0 - r * r, r * r)
     return "< 1e-6" if p < 1e-6 else f"{p:.6g}"
+
+
+def _regularized_beta(a, b, x, y):
+    """I_x(a, b) for 0 < x <= 1, given y = 1 - x too so that an x near 1 keeps
+    its precision: Numerical Recipes betai, with betacf's modified Lentz loop."""
+    if y == 0.0:
+        return 1.0
+    front = math.exp(
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log1p(-y) + b * math.log(y)
+    )
+    # the fraction converges fast only below (a + 1) / (a + b + 2); I_x(a, b) = 1 - I_y(b, a)
+    flip = x >= (a + 1.0) / (a + b + 2.0)
+    if flip:
+        a, b, x = b, a, y
+
+    def floored(value):  # Lentz's stand-in for a zero denominator
+        return value if abs(value) >= 1e-300 else 1e-300
+
+    c, d = 1.0, 1.0 / floored(1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, 100_000):  # it needs O(sqrt(max(a, b))) steps
+        for coefficient in (  # the fraction's even then odd term
+            m * (b - m) * x / ((a - 1.0 + 2 * m) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 1.0 + 2 * m)),
+        ):
+            d = 1.0 / floored(1.0 + coefficient * d)
+            c = floored(1.0 + coefficient / c)
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            return 1.0 - front * h / a if flip else front * h / a
+    raise ArithmeticError(f"incomplete beta fraction did not converge for a={a}, b={b}, x={x}")
 
 
 # ------------------------------------------------------------- classification
 
+def _class_index(name, values):
+    """HYPERTENSION_CLASSES index of each value by the rule set of one quantity.
+    A value equal to a limit is in the lower class; NaN sorts last, in Hypertension."""
+    return np.searchsorted(HYPERTENSION_LIMITS[name], values)
+
+
 def classify_hypertension(sbp, dbp):
     """Independent class labels by the DBP-based and SBP-based rule sets."""
-    if dbp <= 80.0:
-        by_dbp = "Normotension"
-    elif dbp <= 90.0:
-        by_dbp = "Prehypertension"
-    else:
-        by_dbp = "Hypertension"
-    if sbp <= 120.0:
-        by_sbp = "Normotension"
-    elif sbp <= 140.0:
-        by_sbp = "Prehypertension"
-    else:
-        by_sbp = "Hypertension"
-    return by_dbp, by_sbp
+    return tuple(HYPERTENSION_CLASSES[_class_index(name, v)] for name, v in (("dbp", dbp), ("sbp", sbp)))
 
 
 @dataclass
@@ -175,13 +199,15 @@ class ClassificationReport:
     by_sbp: RuleReport
 
 
-def _rule_report(true_labels, pred_labels):
-    index = {name: i for i, name in enumerate(HYPERTENSION_CLASSES)}
+def _rule_report(name, table):
+    true_class = _class_index(name, table[f"{name}_true"])
+    pred_class = _class_index(name, table[f"{name}_pred"])
+    if true_class.shape != pred_class.shape:
+        raise ValueError(f"true and predicted {name} columns differ in length")
     confusion = np.zeros((3, 3), dtype=np.int64)
-    for t, p in zip(true_labels, pred_labels):
-        confusion[index[t], index[p]] += 1
+    np.add.at(confusion, (true_class, pred_class), 1)
     per_class = {}
-    for name, i in index.items():
+    for i, cls in enumerate(HYPERTENSION_CLASSES):
         tp = int(confusion[i, i])
         pred_total = int(confusion[:, i].sum())
         true_total = int(confusion[i, :].sum())
@@ -189,28 +215,15 @@ def _rule_report(true_labels, pred_labels):
         precision = tp / pred_total if pred_total else 0.0
         recall = tp / true_total if true_total else 0.0
         f1 = (2 * precision * recall / (precision + recall)) if (precision + recall) else 0.0
-        per_class[name] = ClassMetrics(
+        per_class[cls] = ClassMetrics(
             precision=precision, recall=recall, f1=f1, support=true_total, undefined=undefined
         )
     return RuleReport(confusion=confusion, per_class=per_class)
 
 
-def classification_report(true_bp, pred_bp):
-    """Confusion matrices and per-class metrics under both rule sets."""
-    if len(true_bp) != len(pred_bp):
-        raise ValueError("true and predicted lists differ in length")
-    true_dbp, true_sbp, pred_dbp, pred_sbp = [], [], [], []
-    for t, p in zip(true_bp, pred_bp):
-        td, ts = classify_hypertension(t.sbp, t.dbp)
-        pd, ps = classify_hypertension(p.sbp, p.dbp)
-        true_dbp.append(td)
-        true_sbp.append(ts)
-        pred_dbp.append(pd)
-        pred_sbp.append(ps)
-    return ClassificationReport(
-        by_dbp=_rule_report(true_dbp, pred_dbp),
-        by_sbp=_rule_report(true_sbp, pred_sbp),
-    )
+def classification_report(table):
+    """Confusion matrices and per-class metrics of a prediction table under both rule sets."""
+    return ClassificationReport(by_dbp=_rule_report("dbp", table), by_sbp=_rule_report("sbp", table))
 
 
 # --------------------------------------------------------------- SQI analysis
@@ -225,14 +238,14 @@ class SqiBucket:
     mae_sbp: float
 
 
-def sqi_error_analysis(rows, bin_edges=None, bins=10):
-    """Bucket prediction rows by input-signal skewness; MAE triple per bucket.
+def sqi_error_analysis(table, bin_edges=None, bins=10):
+    """Bucket a prediction table's episodes by input-signal skewness; MAE triple per bucket.
 
     Empty buckets are absent from the result rather than reported as zero.
     """
-    if not rows:
+    sqis = table["sqi"]
+    if sqis.size == 0:
         return []
-    sqis = np.array([r["sqi"] for r in rows])
     if bin_edges is None:
         lo, hi = float(sqis.min()), float(sqis.max())
         if lo == hi:
@@ -240,22 +253,16 @@ def sqi_error_analysis(rows, bin_edges=None, bins=10):
         bin_edges = np.linspace(lo, hi, bins + 1)
     bin_edges = np.asarray(bin_edges, dtype=np.float64)
     which = np.clip(np.searchsorted(bin_edges, sqis, side="right") - 1, 0, len(bin_edges) - 2)
-    buckets = []
-    for b in range(len(bin_edges) - 1):
-        members = [rows[i] for i in np.nonzero(which == b)[0]]
-        if not members:
-            continue
-        buckets.append(
-            SqiBucket(
-                lo=float(bin_edges[b]),
-                hi=float(bin_edges[b + 1]),
-                count=len(members),
-                mae_dbp=float(np.mean([abs(m["dbp_pred"] - m["dbp_true"]) for m in members])),
-                mae_map=float(np.mean([abs(m["map_pred"] - m["map_true"]) for m in members])),
-                mae_sbp=float(np.mean([abs(m["sbp_pred"] - m["sbp_true"]) for m in members])),
-            )
+    abs_err = {name: np.abs(table[f"{name}_pred"] - table[f"{name}_true"]) for name in QUANTITIES}
+    return [
+        SqiBucket(
+            lo=float(bin_edges[b]),
+            hi=float(bin_edges[b + 1]),
+            count=int(np.count_nonzero(which == b)),
+            **{f"mae_{name}": float(abs_err[name][which == b].mean()) for name in QUANTITIES},
         )
-    return buckets
+        for b in np.unique(which)
+    ]
 
 
 # ------------------------------------------------------------- the full report
@@ -343,9 +350,12 @@ class EvaluationReport:
 
 
 def load_predictions(path):
-    """Parse the pipeline predictions CSV into row dicts; errors carry row numbers."""
-    rows = []
-    numeric = PREDICTION_COLUMNS[2:]  # all but episode_index and subject_id
+    """The pipeline predictions CSV as one prediction table: a dict from each
+    PREDICTION_COLUMNS name to an array, of str for episode_index and
+    subject_id and of float64 for the rest. Errors carry row numbers; a value
+    that is not a finite number is one."""
+    labels = PREDICTION_COLUMNS[:2]
+    columns = {name: [] for name in PREDICTION_COLUMNS}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not set(PREDICTION_COLUMNS).issubset(reader.fieldnames):
@@ -353,27 +363,32 @@ def load_predictions(path):
                 f"predictions CSV needs columns {sorted(PREDICTION_COLUMNS)}, got {reader.fieldnames}"
             )
         for line, raw in enumerate(reader, start=2):
-            row = {"episode_index": raw["episode_index"], "subject_id": raw["subject_id"]}
-            for key in numeric:
+            for key in labels:
+                columns[key].append(raw[key])
+            for key in PREDICTION_COLUMNS[2:]:
                 try:
-                    row[key] = float(raw[key])
+                    value = float(raw[key])
                 except (TypeError, ValueError):
-                    raise ValueError(f"row {line}: bad value for {key}: {raw[key]!r}") from None
-            rows.append(row)
-    return rows
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise ValueError(f"row {line}: bad value for {key}: {raw[key]!r}")
+                columns[key].append(value)
+    return {
+        key: np.array(values, dtype=str if key in labels else np.float64) for key, values in columns.items()
+    }
 
 
-def evaluate(rows, sqi_bins=10):
-    """Aggregate prediction rows into the full evaluation report."""
-    if not rows:
+def evaluate(table, sqi_bins=10):
+    """Aggregate a prediction table into the full evaluation report."""
+    if not isinstance(table, dict):  # a list of row dicts, the form perfbench's report check passes
+        table = {key: np.array([row[key] for row in table]) for key in PREDICTION_COLUMNS}
+    episodes = table["waveform_mae"].size
+    if episodes == 0:
         raise ValueError("cannot evaluate an empty prediction set")
-    subjects = len({r["subject_id"] for r in rows})
-    wf = np.array([r["waveform_mae"] for r in rows])
-
+    subjects = np.unique(table["subject_id"]).size
     summaries = {}
     for name in QUANTITIES:
-        truth = np.array([r[f"{name}_true"] for r in rows])
-        pred = np.array([r[f"{name}_pred"] for r in rows])
+        truth, pred = table[f"{name}_true"], table[f"{name}_pred"]
         err = pred - truth
         abs_err = np.abs(err)
         summaries[name] = QuantitySummary(
@@ -383,52 +398,36 @@ def evaluate(rows, sqi_bins=10):
             aami=aami_check_quantity(err, subjects),
             agreement=bland_altman(pred, truth),
         )
-
-    true_bp = [BPValues(sbp=r["sbp_true"], dbp=r["dbp_true"], map=r["map_true"]) for r in rows]
-    pred_bp = [BPValues(sbp=r["sbp_pred"], dbp=r["dbp_pred"], map=r["map_pred"]) for r in rows]
-
     return EvaluationReport(
-        episodes=len(rows),
+        episodes=episodes,
         subjects=subjects,
-        waveform_mae=float(wf.mean()),
-        waveform_mae_std=float(wf.std()),
-        dbp=summaries["dbp"],
-        map=summaries["map"],
-        sbp=summaries["sbp"],
-        classification=classification_report(true_bp, pred_bp),
-        sqi_buckets=sqi_error_analysis(rows, bins=sqi_bins),
+        waveform_mae=float(table["waveform_mae"].mean()),
+        waveform_mae_std=float(table["waveform_mae"].std()),
+        classification=classification_report(table),
+        sqi_buckets=sqi_error_analysis(table, bins=sqi_bins),
+        **summaries,
     )
 
 
 # ------------------------------------------------------------ figure data files
 
-def write_figure_data(rows, directory):
-    """CSV data behind the standard figures: error histograms, agreement
-    points, and regression points, one file per quantity."""
+def write_figure_data(table, directory):
+    """Numeric CSV data behind the standard figures: error histograms,
+    agreement points, and regression points, one file per quantity."""
     os.makedirs(directory, exist_ok=True)
     for name in QUANTITIES:
-        truth = np.array([r[f"{name}_true"] for r in rows])
-        pred = np.array([r[f"{name}_pred"] for r in rows])
+        truth, pred = table[f"{name}_true"], table[f"{name}_pred"]
         err = pred - truth
-
         lo = math.floor(err.min())
-        hi = math.ceil(err.max())
-        edges = np.arange(lo, hi + 1.0) if hi > lo else np.array([lo, lo + 1.0])
-        counts, edges = np.histogram(err, bins=edges)
-        with open(os.path.join(directory, f"hist_{name}.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_lo", "bin_hi", "count"])
-            for i, c in enumerate(counts):
-                writer.writerow([repr(float(edges[i])), repr(float(edges[i + 1])), int(c)])
-
-        with open(os.path.join(directory, f"bland_altman_{name}.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["mean", "difference"])
-            for t, p in zip(truth, pred):
-                writer.writerow([repr((t + p) / 2.0), repr(p - t)])
-
-        with open(os.path.join(directory, f"regression_{name}.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["truth", "prediction"])
-            for t, p in zip(truth, pred):
-                writer.writerow([repr(t), repr(p)])
+        hi = max(math.ceil(err.max()), lo + 1)  # at least one 1 mmHg bin
+        counts, edges = np.histogram(err, bins=np.arange(lo, hi + 1.0))
+        edges, pairs = list(map(repr, edges.tolist())), list(zip(truth.tolist(), pred.tolist()))
+        for prefix, header, rows in (
+            ("hist", ["bin_lo", "bin_hi", "count"], zip(edges, edges[1:], counts.tolist())),
+            ("bland_altman", ["mean", "difference"], ([repr((t + p) / 2.0), repr(p - t)] for t, p in pairs)),
+            ("regression", ["truth", "prediction"], ([repr(t), repr(p)] for t, p in pairs)),
+        ):
+            with open(os.path.join(directory, f"{prefix}_{name}.csv"), "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(rows)

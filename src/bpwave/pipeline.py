@@ -45,7 +45,6 @@ def preprocess_store(store):
 class PipelineBundle:
     approx_network: object
     refine_network: object
-    fs: float = 125.0
     preprocess: bool = True
 
     def input_length(self):
@@ -56,7 +55,7 @@ def save_bundle(bundle, directory):
     os.makedirs(directory, exist_ok=True)
     meta = {
         "format_version": BUNDLE_VERSION,
-        "fs": bundle.fs,
+        "fs": datapipe.STORE_FS,
         "preprocess": bundle.preprocess,
         "approx": {
             "filters_per_level": list(bundle.approx_network.config.filters_per_level),
@@ -86,9 +85,8 @@ def _read_meta(directory):
         raise ValueError(f"{BUNDLE_META} must hold a JSON object, got {type(meta).__name__}")
     if meta.get("format_version") != BUNDLE_VERSION:
         raise ValueError(f"unsupported bundle version {meta.get('format_version')}")
-    fs = meta.get("fs")
-    if not isinstance(fs, (int, float)) or isinstance(fs, bool):
-        raise ValueError(f"{BUNDLE_META}: 'fs' must be a number")
+    if meta.get("fs") != datapipe.STORE_FS:
+        raise ValueError(f"{BUNDLE_META}: sampling rate must be {datapipe.STORE_FS} Hz, got {meta.get('fs')!r}")
     if not isinstance(meta.get("preprocess", True), bool):
         raise ValueError(f"{BUNDLE_META}: 'preprocess' must be true or false")
     for stage, widths in (("approx", "filters_per_level"), ("refine", "base_widths")):
@@ -127,7 +125,6 @@ def load_bundle(directory):
     return PipelineBundle(
         approx_network=approx,
         refine_network=refine,
-        fs=meta["fs"],
         preprocess=meta.get("preprocess", True),
     )
 

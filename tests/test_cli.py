@@ -70,10 +70,15 @@ def _meta_with_string_length(meta):
     return meta
 
 
+def _meta_at_250_hz(meta):
+    meta["fs"] = 250.0
+    return meta
+
+
 @pytest.mark.parametrize(
     "malform",
-    [_meta_without_refine, lambda meta: [meta], _meta_with_string_length],
-    ids=["missing-refine", "top-level-list", "string-input-length"],
+    [_meta_without_refine, lambda meta: [meta], _meta_with_string_length, _meta_at_250_hz],
+    ids=["missing-refine", "top-level-list", "string-input-length", "fs-250"],
 )
 def test_infer_with_malformed_bundle_meta_exits_2(tmp_path, synth_store, capsys, malform):
     meta = {

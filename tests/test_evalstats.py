@@ -25,9 +25,26 @@ from bpwave.evalstats import (
     sqi_error_analysis,
     write_figure_data,
 )
-from bpwave.pipeline import BPValues
+from bpwave.pipeline import PREDICTION_COLUMNS, BPValues
 
 GRADE_ORDER = {"A": 0, "B": 1, "C": 2, "D": 3}
+
+
+def table(rows):
+    """Row dicts as the one prediction table load_predictions returns."""
+    return {
+        key: np.array([r[key] for r in rows], dtype=str if key in ("episode_index", "subject_id") else np.float64)
+        for key in PREDICTION_COLUMNS
+    }
+
+
+def bp_table(true_bp, pred_bp):
+    """The table columns classification_report reads, from two BPValues lists."""
+    return {
+        f"{q}_{side}": np.array([getattr(v, q) for v in values])
+        for side, values in (("true", true_bp), ("pred", pred_bp))
+        for q in ("sbp", "dbp", "map")
+    }
 
 
 # ----------------------------------------------------------------------- BHS
@@ -209,11 +226,39 @@ def test_pearson_p_value_indicator():
     assert weak != "< 1e-6" and float(weak) > 0.5
 
 
-def test_import_leaves_scipy_unloaded():
-    """scipy costs about a second to import; only pearson_p_value loads it."""
+# (r, n) -> the string scipy 1.17.1 gives for 2 * stats.t.sf(t, n - 2)
+PINNED_P_VALUES = {
+    (0.0, 3): "1", (0.05, 3): "0.968156", (-0.05, 3): "0.968156", (0.5, 3): "0.666667", (0.9, 3): "0.287133",
+    (0.0, 4): "1", (0.05, 4): "0.95", (-0.05, 4): "0.95", (0.5, 4): "0.5", (0.9, 4): "0.1",
+    (0.0, 5): "1", (0.05, 5): "0.936365", (-0.05, 5): "0.936365", (0.5, 5): "0.391002", (0.9, 5): "0.0373861",
+    (0.0, 6): "1", (0.05, 6): "0.925063", (-0.05, 6): "0.925063", (0.5, 6): "0.3125", (0.9, 6): "0.0145",
+    (0.0, 30): "1", (0.05, 30): "0.793022", (-0.05, 30): "0.793022", (0.5, 30): "0.00489993", (0.9, 30): "< 1e-6",
+    (0.0, 27260): "1", (0.05, 27260): "< 1e-6", (-0.05, 27260): "< 1e-6", (0.5, 27260): "< 1e-6",
+    (0.9, 27260): "< 1e-6", (0.01, 27260): "0.0987333", (-0.02, 27260): "0.000958957",
+    (0.76, 30): "1.10601e-06", (0.765, 30): "< 1e-6",  # either side of the cut
+}
+
+
+def test_pearson_p_value_matches_pinned_strings():
+    got = {pair: pearson_p_value(*pair) for pair in PINNED_P_VALUES}
+    assert got == PINNED_P_VALUES
+
+
+def test_import_leaves_scipy_unloaded(tmp_path):
+    """bpwave needs only numpy: neither importing it nor grading predictions loads scipy."""
+    preds = tmp_path / "preds.csv"
+    lines = [",".join(PREDICTION_COLUMNS)]
+    lines += [f"{i},s{i % 3},{120 + i},{80 - i},{95 + i},{121 + i * i % 7},{79 - i},{96 + i},2.0,0.1" for i in range(8)]
+    preds.write_text("\n".join(lines) + "\n")
     src = str(pathlib.Path(bpwave.__file__).resolve().parents[1])
-    probe = f"import sys; sys.path.insert(0, {src!r}); import bpwave; sys.exit('scipy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", probe]).returncode == 0
+    argv = ["evaluate", "--pred", str(preds), "--out", str(tmp_path / "report.json")]
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import bpwave.cli; "
+        f"code = bpwave.cli.main({argv!r}); print(code, 'scipy' in sys.modules)"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.stdout.split()[-2:] == ["0", "False"], result.stderr
+    assert json.loads((tmp_path / "report.json").read_text())["sbp"]["agreement"]["p_value"] != "n/a"
 
 
 # ------------------------------------------------------------- classification
@@ -239,7 +284,7 @@ def bp(sbp, dbp):
 
 def test_classification_perfect_predictions():
     true_bp = [bp(110, 70), bp(130, 85), bp(160, 95), bp(118, 78)]
-    report = classification_report(true_bp, list(true_bp))
+    report = classification_report(bp_table(true_bp, list(true_bp)))
     for rule in (report.by_dbp, report.by_sbp):
         assert np.trace(rule.confusion) == 4
         assert rule.confusion.sum() == 4
@@ -251,7 +296,7 @@ def test_classification_perfect_predictions():
 def test_classification_single_misclassification_hand_oracle():
     true_bp = [bp(110, 70), bp(110, 70)]
     pred_bp = [bp(110, 70), bp(130, 70)]  # second crosses the SBP boundary
-    rule = classification_report(true_bp, pred_bp).by_sbp
+    rule = classification_report(bp_table(true_bp, pred_bp)).by_sbp
     normo = rule.per_class["Normotension"]
     pre = rule.per_class["Prehypertension"]
     assert normo.precision == 1.0 and normo.recall == 0.5
@@ -263,7 +308,7 @@ def test_classification_single_misclassification_hand_oracle():
 def test_classification_zero_prediction_class_flagged():
     true_bp = [bp(150, 95), bp(152, 96)]
     pred_bp = [bp(110, 70), bp(112, 72)]
-    rule = classification_report(true_bp, pred_bp).by_sbp
+    rule = classification_report(bp_table(true_bp, pred_bp)).by_sbp
     hyper = rule.per_class["Hypertension"]
     assert hyper.precision == 0.0 and hyper.recall == 0.0 and hyper.undefined
 
@@ -272,7 +317,7 @@ def test_classification_row_sums_equal_true_counts():
     rng = np.random.default_rng(5)
     true_bp = [bp(float(rng.uniform(100, 180)), float(rng.uniform(60, 100))) for _ in range(60)]
     pred_bp = [bp(float(rng.uniform(100, 180)), float(rng.uniform(60, 100))) for _ in range(60)]
-    report = classification_report(true_bp, pred_bp)
+    report = classification_report(bp_table(true_bp, pred_bp))
     for rule in (report.by_dbp, report.by_sbp):
         assert rule.confusion.sum() == 60
         for i, cls in enumerate(evalstats.HYPERTENSION_CLASSES):
@@ -283,13 +328,14 @@ def test_classification_row_sums_equal_true_counts():
 
 def test_classification_length_mismatch_rejected():
     with pytest.raises(ValueError):
-        classification_report([bp(120, 80)], [])
+        classification_report(bp_table([bp(120, 80)], []))
 
 
 # ----------------------------------------------------------------- SQI buckets
 
 def prediction_row(sqi, dbp_err, map_err, sbp_err, subject="s"):
     return {
+        "episode_index": 0,
         "subject_id": subject,
         "sqi": sqi,
         "dbp_true": 80.0, "dbp_pred": 80.0 + dbp_err,
@@ -301,7 +347,7 @@ def prediction_row(sqi, dbp_err, map_err, sbp_err, subject="s"):
 
 def test_sqi_single_bucket_equals_global():
     rows = [prediction_row(0.5, 1.0, 2.0, -3.0), prediction_row(0.5, 3.0, 0.0, 5.0)]
-    buckets = sqi_error_analysis(rows, bin_edges=[0.0, 1.0])
+    buckets = sqi_error_analysis(table(rows), bin_edges=[0.0, 1.0])
     assert len(buckets) == 1
     b = buckets[0]
     assert b.count == 2 and b.mae_dbp == 2.0 and b.mae_map == 1.0 and b.mae_sbp == 4.0
@@ -313,7 +359,7 @@ def test_sqi_known_buckets_match_direct_aggregation():
         prediction_row(0.9, 5.0, 5.0, 5.0),
         prediction_row(0.95, 7.0, 7.0, 7.0),
     ]
-    buckets = sqi_error_analysis(rows, bin_edges=[0.0, 0.5, 1.0])
+    buckets = sqi_error_analysis(table(rows), bin_edges=[0.0, 0.5, 1.0])
     assert [b.count for b in buckets] == [1, 2]
     assert buckets[0].mae_dbp == 1.0
     assert buckets[1].mae_sbp == 6.0
@@ -321,12 +367,12 @@ def test_sqi_known_buckets_match_direct_aggregation():
 
 def test_sqi_empty_buckets_absent():
     rows = [prediction_row(0.05, 1.0, 1.0, 1.0), prediction_row(0.95, 2.0, 2.0, 2.0)]
-    buckets = sqi_error_analysis(rows, bin_edges=np.linspace(0, 1, 11))
+    buckets = sqi_error_analysis(table(rows), bin_edges=np.linspace(0, 1, 11))
     assert len(buckets) == 2  # eight interior bins are empty and unreported
 
 
 def test_sqi_empty_input():
-    assert sqi_error_analysis([]) == []
+    assert sqi_error_analysis(table([])) == []
 
 
 # ------------------------------------------------------------------ the report
@@ -357,7 +403,7 @@ def test_report_perfect_predictions():
         for q in ("dbp", "map", "sbp"):
             r[f"{q}_pred"] = r[f"{q}_true"]
         r["waveform_mae"] = 0.0
-    report = evaluate(rows)
+    report = evaluate(table(rows))
     for q in ("dbp", "map", "sbp"):
         summary = getattr(report, q)
         assert summary.mae == 0.0
@@ -369,7 +415,7 @@ def test_report_perfect_predictions():
 
 def test_report_statistics_match_formula_oracles():
     rows = make_rows(300, seed=7)
-    report = evaluate(rows)
+    report = evaluate(table(rows))
     for q in ("dbp", "map", "sbp"):
         truth = np.array([r[f"{q}_true"] for r in rows])
         pred = np.array([r[f"{q}_pred"] for r in rows])
@@ -387,7 +433,7 @@ def test_report_statistics_match_formula_oracles():
 
 
 def test_report_json_roundtrip():
-    report = evaluate(make_rows(80, seed=3))
+    report = evaluate(table(make_rows(80, seed=3)))
     parsed = json.loads(report.to_json())
     assert parsed == report.to_dict()
     text = report.to_text()
@@ -396,24 +442,25 @@ def test_report_json_roundtrip():
 
 def test_report_empty_rejected():
     with pytest.raises(ValueError):
-        evaluate([])
+        evaluate(table([]))
 
 
 def test_load_predictions_row_errors(tmp_path):
     path = tmp_path / "preds.csv"
-    path.write_text(
-        "episode_index,subject_id,sbp_true,dbp_true,map_true,"
-        "sbp_pred,dbp_pred,map_pred,waveform_mae,sqi\n"
-        "0,a,120,80,95,121,81,96,2.0,0.4\n"
-        "1,b,120,80,95,oops,81,96,2.0,0.4\n"
-    )
-    with pytest.raises(ValueError, match="row 3"):
-        load_predictions(path)
+    for bad in ("oops", "nan"):  # bpwave never writes a non-finite prediction
+        path.write_text(
+            "episode_index,subject_id,sbp_true,dbp_true,map_true,"
+            "sbp_pred,dbp_pred,map_pred,waveform_mae,sqi\n"
+            "0,a,120,80,95,121,81,96,2.0,0.4\n"
+            f"1,b,120,80,95,{bad},81,96,2.0,0.4\n"
+        )
+        with pytest.raises(ValueError, match=f"row 3: bad value for sbp_pred: '{bad}'"):
+            load_predictions(path)
 
 
 def test_figure_data_files(tmp_path):
     rows = make_rows(50, seed=9)
-    write_figure_data(rows, tmp_path)
+    write_figure_data(table(rows), tmp_path)
     for q in ("dbp", "map", "sbp"):
         hist = (tmp_path / f"hist_{q}.csv").read_text().splitlines()
         total = sum(int(line.split(",")[2]) for line in hist[1:])
@@ -422,3 +469,5 @@ def test_figure_data_files(tmp_path):
         assert len(points) == 51
         reg = (tmp_path / f"regression_{q}.csv").read_text().splitlines()
         assert len(reg) == 51
+        for line in hist[1:] + points[1:] + reg[1:]:
+            assert all(math.isfinite(float(field)) for field in line.split(","))

@@ -413,12 +413,12 @@ def test_predictions_csv_roundtrip(tmp_path):
     path = tmp_path / "preds.csv"
     write_predictions_csv(path, rows)
     back = evalstats.load_predictions(path)
-    assert len(back) == 5
-    for row, parsed in zip(rows, back):
-        assert parsed["subject_id"] == row.subject_id
-        assert parsed["sbp_pred"] == row.pred_bp.sbp
-        assert parsed["waveform_mae"] == row.waveform_mae
-        assert parsed["sqi"] == row.sqi
+    assert all(len(column) == 5 for column in back.values())
+    for i, row in enumerate(rows):
+        assert back["subject_id"][i] == row.subject_id
+        assert back["sbp_pred"][i] == row.pred_bp.sbp
+        assert back["waveform_mae"][i] == row.waveform_mae
+        assert back["sqi"][i] == row.sqi
 
 
 def test_waveform_csv(tmp_path):
