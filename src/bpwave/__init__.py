@@ -12,7 +12,11 @@ evalstats  BHS/AAMI grading, agreement statistics, classification reports
 cli        command-line entry point
 """
 
-from . import cli, container, datapipe, evalstats, models, pipeline, sigproc, tensorops, trainer
+import importlib
+
+# cli is imported on first use, not here: `python -m bpwave.cli` runs the module
+# as __main__ and warns if the package import already loaded it
+from . import container, datapipe, evalstats, models, pipeline, sigproc, tensorops, trainer
 
 __version__ = "0.1.0"
 
@@ -27,3 +31,9 @@ __all__ = [
     "tensorops",
     "trainer",
 ]
+
+
+def __getattr__(name):
+    if name == "cli":
+        return importlib.import_module(f"{__name__}.cli")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -134,14 +134,44 @@ def pearson_p_value(r, n):
     return "< 1e-6" if p < 1e-6 else f"{p:.6g}"
 
 
+# Stirling series coefficients B_2k / (2k (2k - 1)), k = 1..8
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400)
+
+
+def _stirling_tail(x):
+    """lgamma(x) - ((x - 0.5)·ln x - x + ln sqrt(2π)), from its asymptotic
+    series; the first omitted term is below 1e-17 for x >= 10."""
+    inv2 = 1.0 / (x * x)
+    total = 0.0
+    for c in reversed(_STIRLING):
+        total = total * inv2 + c
+    return total / x
+
+
+def _log_inverse_beta(a, b):
+    """ln(1 / B(a, b)) = lgamma(a + b) - lgamma(a) - lgamma(b).
+
+    Once the larger argument q reaches 10, lgamma(p + q) and lgamma(q), of
+    size q·ln q, would cancel and cost about log10(q·ln q) digits; there
+    Stirling's formula gives their difference from terms of the size of the
+    result (the split R's lbeta uses). That keeps full precision while the
+    smaller argument p is small, as the p-value's b = 1/2 is.
+    """
+    p, q = min(a, b), max(a, b)
+    if q < 10.0:
+        return math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    return (
+        _stirling_tail(p + q) - _stirling_tail(q) - math.lgamma(p) - p
+        + p * math.log(p + q) - (q - 0.5) * math.log1p(-p / (p + q))
+    )
+
+
 def _regularized_beta(a, b, x, y):
     """I_x(a, b) for 0 < x <= 1, given y = 1 - x too so that an x near 1 keeps
     its precision: Numerical Recipes betai, with betacf's modified Lentz loop."""
     if y == 0.0:
         return 1.0
-    front = math.exp(
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log1p(-y) + b * math.log(y)
-    )
+    front = math.exp(_log_inverse_beta(a, b) + a * math.log1p(-y) + b * math.log(y))
     # the fraction converges fast only below (a + 1) / (a + b + 2); I_x(a, b) = 1 - I_y(b, a)
     flip = x >= (a + 1.0) / (a + b + 2.0)
     if flip:

@@ -117,7 +117,12 @@ class _ConvBNRelu:
         self.relu = ReLU()
 
     def forward(self, x, mode):
-        return self.relu.forward(self.bn.forward(self.conv.forward(x, mode), mode), mode)
+        if mode == "train":
+            return self.relu.forward(self.bn.forward(self.conv.forward(x, mode), mode), mode)
+        # infer: BatchNorm, with the conv bias folded in, and ReLU run in place
+        # on the conv's fresh output
+        y = self.conv.forward(x, mode, add_bias=False)
+        return self.relu.infer_inplace(self.bn.infer_inplace(y, self.conv.bias))
 
     def backward(self, grad):
         return self.conv.backward(self.bn.backward(self.relu.backward(grad)))
@@ -180,8 +185,12 @@ class _MultiResBlock:
         c2 = self.stage2.forward(c1, mode)
         c3 = self.stage3.forward(c2, mode)
         merged = concat_channels(c1, concat_channels(c2, c3))
-        merged = merged + self.shortcut.forward(x, mode)
-        return self.post_relu.forward(self.post_bn.forward(merged, mode), mode)
+        if mode == "train":
+            merged += self.shortcut.forward(x, mode)
+            return self.post_relu.forward(self.post_bn.forward(merged, mode), mode)
+        # infer: as in _ConvBNRelu, on the fresh concatenation
+        merged += self.shortcut.forward(x, mode, add_bias=False)
+        return self.post_relu.infer_inplace(self.post_bn.infer_inplace(merged, self.shortcut.bias))
 
     def backward(self, grad):
         g = self.post_bn.backward(self.post_relu.backward(grad))
@@ -303,7 +312,7 @@ class _UShapedNetwork:
             self.enc.append(self._block(f"enc{l}", ch, l, rng))
             ch = self.enc[l].out_channels
             self.skips.append(self._skip(l, ch, rng))
-            self.pools.append(MaxPool1d(2))
+            self.pools.append(MaxPool1d())
         self.bottleneck = self._block("bottleneck", ch, levels, rng)
         self.ups = [None] * levels
         self.dec = [None] * levels

@@ -184,37 +184,62 @@ class PredictionRow:
     pred_abp: np.ndarray
 
 
+def _conditioned_inputs(bundle, windows, failures):
+    """index -> network input for each checked window of an index -> window map.
+
+    One conditioning call over all the windows; its rows are independent, so
+    each is bitwise the row that window's own call gives. If that call raises,
+    each window is conditioned alone, and only those that fail drop out,
+    into failures.
+    """
+    if not windows:
+        return {}
+    try:
+        return dict(zip(windows, _network_inputs(bundle, np.stack(list(windows.values())))))
+    except _EPISODE_ERRORS:
+        pass
+    inputs = {}
+    for i, x in windows.items():
+        try:
+            inputs[i] = _network_inputs(bundle, x[None])[0]
+        except _EPISODE_ERRORS as exc:
+            failures.append((i, str(exc)))
+    return inputs
+
+
 def batch_predict(bundle, store):
     """Run the pipeline over a store; failing episodes are skipped, not fatal.
 
-    Each chunk of PREDICT_STACK episodes is validated one by one, then its
-    valid episodes are conditioned as one stack and run as one stacked
-    forward. If conditioning or the forward raises, they run again one at a
-    time, so only the failing ones are skipped. Every row is bitwise what
-    predict_waveform gives for its episode alone. Returns (rows, failures)
-    where failures is a list of (index, message) in episode order.
+    Every episode is validated on its own, then the valid ones are
+    conditioned in one call. The cascade runs on chunks of PREDICT_STACK
+    store indices, each chunk's valid episodes as one stacked forward; if
+    that forward raises, they run again one at a time, so only the failing
+    ones are skipped. Every row is bitwise what predict_waveform gives for
+    its episode alone. Returns (rows, failures) where failures is a list of
+    (index, message) in episode order.
     """
     rows = []
     failures = []
-    for start in range(0, len(store), PREDICT_STACK):
-        stack = []
-        for i in range(start, min(start + PREDICT_STACK, len(store))):
-            try:
-                stack.append((i, _checked_window(bundle, store[i].ppg)))
-            except ValueError as exc:
-                failures.append((i, str(exc)))
-        if not stack:
-            continue
-        windows = np.stack([x for _, x in stack])
+    windows = {}
+    for i, rec in enumerate(store):
         try:
-            preds = list(_cascade(bundle, _network_inputs(bundle, windows)))
+            windows[i] = _checked_window(bundle, rec.ppg)
+        except ValueError as exc:
+            failures.append((i, str(exc)))
+    inputs = _conditioned_inputs(bundle, windows, failures)
+    for start in range(0, len(store), PREDICT_STACK):
+        chunk = [i for i in range(start, min(start + PREDICT_STACK, len(store))) if i in inputs]
+        if not chunk:
+            continue
+        try:
+            preds = list(_cascade(bundle, np.stack([inputs[i] for i in chunk])))
         except _EPISODE_ERRORS:
-            preds = [None] * len(stack)  # each episode runs again on its own below
-        for (i, x), pred in zip(stack, preds):
+            preds = [None] * len(chunk)  # each episode runs again on its own below
+        for i, pred in zip(chunk, preds):
             rec = store[i]
             try:
                 if pred is None:
-                    pred = _cascade(bundle, _network_inputs(bundle, x[None]))[0]
+                    pred = _cascade(bundle, inputs[i][None])[0]
                 rows.append(
                     PredictionRow(
                         index=i,

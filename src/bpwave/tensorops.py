@@ -130,10 +130,13 @@ class Conv1d(_StatefulLayer):
         self.bias_grad = np.zeros(out_channels)
         self._x = None
 
-    def forward(self, x, mode="train"):
+    def forward(self, x, mode="train", add_bias=True):
+        """The output, in a fresh array. add_bias=False leaves the bias out,
+        for an infer-mode caller that folds it into the BatchNorm that follows."""
         _check_activation(x, self.in_channels)
         out = _corr_same(x, self.weight)
-        out += self.bias[None, :, None]
+        if add_bias:
+            out += self.bias[None, :, None]
         self._x = x if mode == "train" else None
         return out
 
@@ -206,30 +209,40 @@ class TransposedConv1d(_StatefulLayer):
 
 
 class MaxPool1d:
-    """Non-overlapping max pooling; ties resolve to the earliest index."""
+    """2-wide, stride-2 max pooling, the pool the networks build.
 
-    def __init__(self, window=2):
-        self.window = window
+    Train mode takes each pair's argmax (ties resolve to the earlier sample),
+    which the backward routes the gradient by. Infer mode keeps nothing and
+    takes the pairwise maximum of the even and odd samples. The two forms
+    differ only on a -0.0 paired with a 0.0: the argmax keeps the earlier of
+    the two, np.maximum the later. Every pool input in the networks is a ReLU
+    output, and np.maximum(y, 0.0) never yields -0.0. A NaN in either slot
+    comes out as NaN in both forms.
+    """
+
+    def __init__(self):
         self._argmax = None
 
     def forward(self, x, mode="train"):
         _check_activation(x)
         b, c, length = x.shape
-        if length % self.window != 0:
-            raise ShapeError(f"length {length} not divisible by pool window {self.window}")
-        xr = x.reshape(b, c, length // self.window, self.window)
+        if length % 2 != 0:
+            raise ShapeError(f"length {length} not divisible by pool window 2")
+        if mode != "train":
+            self._argmax = None
+            return np.maximum(x[..., 0::2], x[..., 1::2])
+        xr = x.reshape(b, c, length // 2, 2)
         idx = xr.argmax(axis=-1)
-        out = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
-        self._argmax = idx if mode == "train" else None
-        return out
+        self._argmax = idx
+        return np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
 
     def backward(self, grad_out):
         if self._argmax is None or grad_out.shape != self._argmax.shape:
             raise ShapeError("pool gradient shape does not match the saved forward")
         b, c, pooled = self._argmax.shape
-        grad_in = np.zeros((b, c, pooled, self.window))
+        grad_in = np.zeros((b, c, pooled, 2))
         np.put_along_axis(grad_in, self._argmax[..., None], grad_out[..., None], axis=-1)
-        return grad_in.reshape(b, c, pooled * self.window)
+        return grad_in.reshape(b, c, pooled * 2)
 
 
 class BatchNorm1d(_StatefulLayer):
@@ -271,6 +284,20 @@ class BatchNorm1d(_StatefulLayer):
         self._inv_std = inv_std if keep else None
         return self.gamma[None, :, None] * x_hat + self.beta[None, :, None]
 
+    def infer_inplace(self, y, bias):
+        """Infer-mode forward of y + bias, written over y: one scale and one
+        shift per channel, with bias (that of the conv in front) folded into
+        the shift. y must be a fresh array the caller owns. Equal to
+        forward(y + bias, "infer") up to rounding."""
+        _check_activation(y, self.channels)
+        scale = self.gamma / np.sqrt(self.running_var + self.eps)
+        shift = self.beta + (bias - self.running_mean) * scale
+        y *= scale[None, :, None]
+        y += shift[None, :, None]
+        self._x_hat = None
+        self._inv_std = None
+        return y
+
     def backward(self, grad_out):
         x_hat = self._x_hat
         if x_hat is None or grad_out.shape != x_hat.shape:
@@ -291,6 +318,11 @@ class ReLU:
         self._mask = x > 0.0 if mode == "train" else None
         # maximum propagates NaN: a non-finite input stays non-finite, not 0
         return np.maximum(x, 0.0)
+
+    def infer_inplace(self, y):
+        """Infer-mode forward written over y, a fresh array the caller owns."""
+        self._mask = None
+        return np.maximum(y, 0.0, out=y)
 
     def backward(self, grad_out):
         if self._mask is None or grad_out.shape != self._mask.shape:

@@ -1,9 +1,14 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import bpwave
 from bpwave import datapipe, evalstats, trainer
 from bpwave.cli import _build_parser, _train_settings, main
 from bpwave.tensorops import AdamConfig
@@ -47,6 +52,18 @@ def test_help_exits_0(capsys):
         assert run(cmd, "--help") == 0
         text = capsys.readouterr().out
         assert "--" in text or cmd == "stats"
+
+
+def test_run_as_module_without_warnings():
+    """`python -m bpwave.cli` loads the package first; that must not load cli."""
+    src = str(pathlib.Path(bpwave.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "bpwave.cli", "--help"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0 and result.stderr == ""
+    assert "usage" in result.stdout
 
 
 def test_missing_file_exits_2(tmp_path):

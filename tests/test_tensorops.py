@@ -231,6 +231,24 @@ def test_maxpool_indivisible_rejected():
         MaxPool1d().forward(np.zeros((1, 1, 5)))
 
 
+def test_maxpool_pairwise_infer_form_matches_argmax_form():
+    """Bitwise on ReLU outputs (ties and zeros included); a NaN in either
+    slot of a pair comes out as NaN from both forms."""
+    rng = rng_for(8)
+    pre = np.round(rng.normal(size=(3, 4, 64)), 1)
+    pre[1] = -0.0
+    pre[2, :, 0::2] = pre[2, :, 1::2]  # exact ties
+    pre[0, 0, :2] = pre[0, 0, 3] = pre[0, 0, 4] = np.nan  # both, second, first slot
+    relu_out = ReLU().forward(pre, mode="infer")
+    pool = MaxPool1d()
+    train = pool.forward(relu_out, mode="train")
+    infer = pool.forward(relu_out, mode="infer")
+    assert infer.tobytes() == train.tobytes()
+    assert np.isnan(infer[0, 0, :3]).all() and np.isnan(train[0, 0, :3]).all()
+    assert (relu_out == 0.0).mean() > 0.3
+    assert pool._argmax is None
+
+
 def test_maxpool_gradcheck_away_from_ties():
     # spread values so no two window entries are within 2h of each other
     rng = rng_for(3)
