@@ -172,6 +172,19 @@ def _regularized_beta(a, b, x, y):
     if y == 0.0:
         return 1.0
     front = math.exp(_log_inverse_beta(a, b) + a * math.log1p(-y) + b * math.log(y))
+    if b <= 1.0 and a >= 1e3 and (a + b) * y <= 16.0:
+        # x near 1 with a large, where the fraction's terms nearly cancel
+        # (relative error about 1e-16·a): I_x(a, b) = 1 - I_y(b, a) by the
+        # all-positive series I_y(p, q) = y^p (1-y)^q / (p·B(p, q)) ·
+        # 2F1(p + q, 1; p + 1; y) (DLMF 8.17.8). It needs a few dozen terms up
+        # to (a + b)·y = 16, past which a p-value reads '< 1e-6'.
+        term = total = 1.0
+        k = 0
+        while term > 1e-17 * total:
+            term *= (a + b + k) * y / (b + 1.0 + k)
+            total += term
+            k += 1
+        return 1.0 - front * total / b
     # the fraction converges fast only below (a + 1) / (a + b + 2); I_x(a, b) = 1 - I_y(b, a)
     flip = x >= (a + 1.0) / (a + b + 2.0)
     if flip:

@@ -34,21 +34,40 @@ def _check_activation(x, in_channels=None):
         raise ShapeError(f"expected {in_channels} input channels, got {x.shape[1]}")
 
 
-def _window_stack(x, k):
-    """(B, C*K, L) same-padded windows: row c*K + t holds channel c shifted by t - K//2."""
-    if k == 1:
-        return x
-    b, c, length = x.shape
-    cols = np.empty((b, c, k, length))
+def _shifted_taps(x, k, axis):
+    """Zero-padded shifted copies of x: a fresh array of shape
+    x.shape[:axis] + (k,) + x.shape[axis:] whose index t on the new axis
+    holds x shifted along its last axis by t - k//2."""
+    length = x.shape[-1]
+    cols = np.empty(x.shape[:axis] + (k,) + x.shape[axis:])
+    taps = cols.transpose((axis,) + tuple(range(axis)) + tuple(range(axis + 1, cols.ndim)))
     for t in range(k):
         s = t - k // 2
         # valid columns [lo, hi), clamped so the two pad slices stay in range
         lo = min(length, max(0, -s))
         hi = max(lo, min(length, length - s))
-        cols[:, :, t, :lo] = 0.0
-        cols[:, :, t, hi:] = 0.0
-        cols[:, :, t, lo:hi] = x[:, :, lo + s : hi + s]
-    return cols.reshape(b, c * k, length)
+        taps[t, ..., :lo] = 0.0
+        taps[t, ..., hi:] = 0.0
+        taps[t, ..., lo:hi] = x[..., lo + s : hi + s]
+    return cols
+
+
+def _window_stack(x, k):
+    """(B, C*K, L) same-padded windows: row c*K + t holds channel c shifted by t - K//2."""
+    if k == 1:
+        return x
+    b, c, length = x.shape
+    return _shifted_taps(x, k, 2).reshape(b, c * k, length)
+
+
+def _batch_window_stack(x, k):
+    """(C*K, B*L) same-padded windows of the whole batch: row c*K + t holds
+    channel c of every sample, shifted by t - K//2, samples side by side."""
+    b, c, length = x.shape
+    x_cb = x.transpose(1, 0, 2)
+    if k == 1:
+        return x_cb.reshape(c, b * length)
+    return _shifted_taps(x_cb, k, 1).reshape(c * k, b * length)
 
 
 def _corr_same(x, weight):
@@ -144,8 +163,10 @@ class Conv1d(_StatefulLayer):
         x = self._x
         if x is None or grad_out.shape != (x.shape[0], self.out_channels, x.shape[2]):
             raise ShapeError(f"{self.name}: gradient shape does not match the saved forward")
-        cols = _window_stack(x, self.kernel_size)
-        g_w = np.tensordot(grad_out, cols, axes=((0, 2), (0, 2)))
+        b, _, length = x.shape
+        # one product over the batch: (O, B*L) @ (B*L, C*K)
+        g_rows = grad_out.transpose(1, 0, 2).reshape(self.out_channels, b * length)
+        g_w = g_rows @ _batch_window_stack(x, self.kernel_size).T
         self.weight_grad += g_w.reshape(self.weight.shape)
         self.bias_grad += grad_out.sum(axis=(0, 2))
         # input gradient = correlation with the channel-swapped, tap-reversed kernel
@@ -211,9 +232,11 @@ class TransposedConv1d(_StatefulLayer):
 class MaxPool1d:
     """2-wide, stride-2 max pooling, the pool the networks build.
 
-    Train mode takes each pair's argmax (ties resolve to the earlier sample),
-    which the backward routes the gradient by. Infer mode keeps nothing and
-    takes the pairwise maximum of the even and odd samples. The two forms
+    Train mode picks from each pair by argmax's rule, as a compare mask
+    (true where the odd sample wins): ties and a NaN in the even slot keep the
+    even sample, a NaN only in the odd slot takes the odd one. The backward
+    routes the gradient by that mask. Infer mode keeps nothing and takes the
+    pairwise maximum of the even and odd samples. The two forms
     differ only on a -0.0 paired with a 0.0: the argmax keeps the earlier of
     the two, np.maximum the later. Every pool input in the networks is a ReLU
     output, and np.maximum(y, 0.0) never yields -0.0. A NaN in either slot
@@ -231,17 +254,20 @@ class MaxPool1d:
         if mode != "train":
             self._argmax = None
             return np.maximum(x[..., 0::2], x[..., 1::2])
-        xr = x.reshape(b, c, length // 2, 2)
-        idx = xr.argmax(axis=-1)
-        self._argmax = idx
-        return np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
+        even, odd = x[..., 0::2], x[..., 1::2]
+        take_odd = ~(even >= odd)
+        take_odd &= even == even
+        self._argmax = take_odd
+        return np.where(take_odd, odd, even)
 
     def backward(self, grad_out):
         if self._argmax is None or grad_out.shape != self._argmax.shape:
             raise ShapeError("pool gradient shape does not match the saved forward")
-        b, c, pooled = self._argmax.shape
-        grad_in = np.zeros((b, c, pooled, 2))
-        np.put_along_axis(grad_in, self._argmax[..., None], grad_out[..., None], axis=-1)
+        take_odd = self._argmax
+        b, c, pooled = take_odd.shape
+        grad_in = np.empty((b, c, pooled, 2))
+        grad_in[..., 0] = np.where(take_odd, 0.0, grad_out)
+        grad_in[..., 1] = np.where(take_odd, grad_out, 0.0)
         return grad_in.reshape(b, c, pooled * 2)
 
 
@@ -270,19 +296,24 @@ class BatchNorm1d(_StatefulLayer):
         if mode == "train":
             if x.shape[0] < 2:
                 raise ShapeError(f"{self.name}: train-mode batch normalization needs batch size >= 2")
-            mean = x.mean(axis=(0, 2))
-            var = x.var(axis=(0, 2))
+            # the arithmetic of x.mean and x.var, with x - mean formed once
+            n = x.shape[0] * x.shape[2]
+            mean = x.sum(axis=(0, 2)) / n
+            x_hat = x - mean[None, :, None]
+            var = np.square(x_hat).sum(axis=(0, 2)) / n
             self.running_mean = self.momentum * self.running_mean + (1.0 - self.momentum) * mean
             self.running_var = self.momentum * self.running_var + (1.0 - self.momentum) * var
         else:
-            mean = self.running_mean
+            x_hat = x - self.running_mean[None, :, None]
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean[None, :, None]) * inv_std[None, :, None]
+        x_hat *= inv_std[None, :, None]
         keep = mode == "train"
         self._x_hat = x_hat if keep else None
         self._inv_std = inv_std if keep else None
-        return self.gamma[None, :, None] * x_hat + self.beta[None, :, None]
+        out = self.gamma[None, :, None] * x_hat
+        out += self.beta[None, :, None]
+        return out
 
     def infer_inplace(self, y, bias):
         """Infer-mode forward of y + bias, written over y: one scale and one
@@ -302,12 +333,18 @@ class BatchNorm1d(_StatefulLayer):
         x_hat = self._x_hat
         if x_hat is None or grad_out.shape != x_hat.shape:
             raise ShapeError(f"{self.name}: gradient shape does not match the saved forward")
-        self.gamma_grad += (grad_out * x_hat).sum(axis=(0, 2))
-        self.beta_grad += grad_out.sum(axis=(0, 2))
-        scale = (self.gamma * self._inv_std)[None, :, None]
-        g_mean = grad_out.mean(axis=(0, 2), keepdims=True)
-        gx_mean = (grad_out * x_hat).mean(axis=(0, 2), keepdims=True)
-        return scale * (grad_out - g_mean - x_hat * gx_mean)
+        n = x_hat.shape[0] * x_hat.shape[2]
+        gx = grad_out * x_hat
+        gx_sum = gx.sum(axis=(0, 2))
+        g_sum = grad_out.sum(axis=(0, 2))
+        self.gamma_grad += gx_sum
+        self.beta_grad += g_sum
+        # the arithmetic of scale * (grad_out - mean(grad_out) - x_hat * mean(gx)),
+        # built on one fresh array
+        d = grad_out - (g_sum / n)[None, :, None]
+        d -= np.multiply(x_hat, (gx_sum / n)[None, :, None], out=gx)
+        d *= (self.gamma * self._inv_std)[None, :, None]
+        return d
 
 
 class ReLU:

@@ -52,6 +52,23 @@ def loop_corr_same(x, weight, bias):
     return out
 
 
+def loop_corr_same_weight_grad(x, k, grad_out):
+    """Nested-loop weight gradient of loop_corr_same: (O, C, K) from (B,C,L) and (B,O,L)."""
+    b, c, length = x.shape
+    out_ch = grad_out.shape[1]
+    pad = k // 2
+    weight_grad = np.zeros((out_ch, c, k))
+    for bi in range(b):
+        for o in range(out_ch):
+            for ci in range(c):
+                for t in range(k):
+                    for i in range(length):
+                        j = i + t - pad
+                        if 0 <= j < length:
+                            weight_grad[o, ci, t] += grad_out[bi, o, i] * x[bi, ci, j]
+    return weight_grad
+
+
 def loop_transposed(x, weight, bias, stride=2):
     """Scatter-accumulate oracle for the stride-2 transposed convolution."""
     b, c, length = x.shape

@@ -245,6 +245,15 @@ def test_pearson_p_value_matches_pinned_strings():
     assert got == PINNED_P_VALUES
 
 
+def test_pearson_p_value_keeps_its_digits_near_the_fraction_switch():
+    """Just past r² = 3/n at large n, where the continued fraction's terms
+    nearly cancel; the strings are mpmath's betainc (0.06847374983,
+    0.06226497685 and 0.04887891105) to six digits."""
+    assert pearson_p_value(-5.7612788776076224e-05, 10**9) == "0.0684737"
+    assert pearson_p_value(-5.8957634509346125e-06, 10**11) == "0.062265"
+    assert pearson_p_value(-6.228568777982459e-06, 10**11) == "0.0488789"
+
+
 def test_import_leaves_scipy_unloaded(tmp_path):
     """bpwave needs only numpy: neither importing it nor grading predictions loads scipy."""
     preds = tmp_path / "preds.csv"

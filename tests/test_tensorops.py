@@ -3,7 +3,13 @@ import struct
 
 import numpy as np
 import pytest
-from _gradutils import linear_probe_check, loop_corr_same, loop_transposed, loop_transposed_grads
+from _gradutils import (
+    linear_probe_check,
+    loop_corr_same,
+    loop_corr_same_weight_grad,
+    loop_transposed,
+    loop_transposed_grads,
+)
 
 from bpwave import container, tensorops
 from bpwave.container import BadMagicError, BadVersionError, TruncatedContainerError
@@ -128,6 +134,31 @@ def test_conv_forward_is_batch_invariant(out_ch, k):
     stacked = conv.forward(x, mode="infer")
     singles = np.concatenate([conv.forward(x[i : i + 1], mode="infer") for i in range(16)])
     np.testing.assert_array_equal(stacked, singles)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("length", [1, 2, 4, 23])
+def test_conv_batch_weight_gradient_is_the_sum_over_samples(k, length):
+    """The whole-batch weight gradient against one-sample gradients summed,
+    and against a loop oracle, lengths shorter than the kernel included."""
+    rng = rng_for(100 * k + length)
+    batch = 5
+    conv = make_conv(3, 4, k, seed=length)
+    x = rng.normal(size=(batch, 3, length))
+    g = rng.normal(size=(batch, 4, length))
+    conv.forward(x)
+    conv.backward(g)
+    batched = conv.weight_grad.copy()
+    conv.weight_grad[:] = 0.0
+    summed = np.zeros_like(batched)
+    for i in range(batch):
+        conv.forward(x[i : i + 1])
+        conv.backward(g[i : i + 1])
+        summed += conv.weight_grad
+        conv.weight_grad[:] = 0.0
+    scale = np.abs(summed).max()
+    np.testing.assert_allclose(batched, summed, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(batched, loop_corr_same_weight_grad(x, k, g), rtol=1e-12, atol=1e-12 * scale)
 
 
 # --------------------------------------------------------------- transposed
@@ -257,6 +288,49 @@ def test_maxpool_gradcheck_away_from_ties():
     assert report.passed(1e-4), report.format()
 
 
+def argmax_pool_reference(x, grad_out):
+    """Argmax-and-gather pool forward and put_along_axis backward."""
+    b, c, length = x.shape
+    xr = x.reshape(b, c, length // 2, 2)
+    idx = xr.argmax(axis=-1)[..., None]
+    grad_in = np.zeros(xr.shape)
+    np.put_along_axis(grad_in, idx, grad_out[..., None], axis=-1)
+    return np.take_along_axis(xr, idx, axis=-1)[..., 0], grad_in.reshape(x.shape)
+
+
+def test_maxpool_train_form_is_bitwise_the_argmax_route():
+    """Ties, signed zeros, NaN in the first, second or both slots, and +-inf
+    go where argmax sends them; a non-finite upstream gradient reaches only
+    the chosen slot."""
+    rng = rng_for(21)
+    x = np.round(rng.normal(size=(3, 4, 64)), 1)
+    x[0, 0, :8] = [np.nan, np.nan, 1.0, np.nan, np.nan, 2.0, np.nan, -np.inf]
+    x[0, 1, :8] = [np.inf, np.inf, -np.inf, -np.inf, -np.inf, np.inf, np.inf, -np.inf]
+    x[0, 2, :8] = [-0.0, 0.0, 0.0, -0.0, -0.0, -0.0, np.inf, np.nan]
+    x[1, :, 0::2] = x[1, :, 1::2]  # exact ties
+    grad_out = rng.normal(size=(3, 4, 32))
+    grad_out[0, :3, :4] = [[np.nan, np.inf, -np.inf, np.nan]] * 3
+    grad_out[2, 0, ::3] = np.inf
+    pool = MaxPool1d()
+    out = pool.forward(x, mode="train")
+    grad_in = pool.backward(grad_out)
+    want_out, want_grad = argmax_pool_reference(x, grad_out)
+    assert out.tobytes() == want_out.tobytes()
+    assert grad_in.tobytes() == want_grad.tobytes()
+
+
+def test_maxpool_train_form_matches_the_argmax_route_on_random_pairs():
+    rng = rng_for(22)
+    specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0])
+    for _ in range(50):
+        x = rng.choice(specials, size=(2, 3, 16))
+        grad_out = rng.choice(specials, size=(2, 3, 8))
+        pool = MaxPool1d()
+        want_out, want_grad = argmax_pool_reference(x, grad_out)
+        assert pool.forward(x).tobytes() == want_out.tobytes()
+        assert pool.backward(grad_out).tobytes() == want_grad.tobytes()
+
+
 # ---------------------------------------------------------------- batchnorm
 
 def test_batchnorm_normalizes_in_train_mode():
@@ -309,6 +383,47 @@ def test_batchnorm_updates_running_stats():
     expected_mean = 0.99 * 0.0 + 0.01 * x.mean()
     np.testing.assert_allclose(bn.running_mean, expected_mean, atol=1e-12)
     assert np.all(bn.running_var > 0.0)
+
+
+def textbook_batchnorm(x, gamma, beta, running_mean, running_var, grad_out, eps=1e-5, momentum=0.99):
+    """Train-mode batch normalization written with mean/var (Ioffe & Szegedy
+    2015, section 3): output, running statistics, input and parameter gradients."""
+    mean = x.mean(axis=(0, 2))
+    var = x.var(axis=(0, 2))
+    inv_std = 1.0 / np.sqrt(var + eps)
+    x_hat = (x - mean[None, :, None]) * inv_std[None, :, None]
+    out = gamma[None, :, None] * x_hat + beta[None, :, None]
+    new_mean = momentum * running_mean + (1.0 - momentum) * mean
+    new_var = momentum * running_var + (1.0 - momentum) * var
+    g_mean = grad_out.mean(axis=(0, 2), keepdims=True)
+    gx_mean = (grad_out * x_hat).mean(axis=(0, 2), keepdims=True)
+    grad_in = (gamma * inv_std)[None, :, None] * (grad_out - g_mean - x_hat * gx_mean)
+    gamma_grad = (grad_out * x_hat).sum(axis=(0, 2))
+    beta_grad = grad_out.sum(axis=(0, 2))
+    return out, new_mean, new_var, grad_in, gamma_grad, beta_grad
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 1), (3, 64, 7), (16, 4, 1024), (5, 48, 33)])
+def test_batchnorm_train_mode_is_bitwise_the_textbook_form(shape):
+    rng = rng_for(sum(shape))
+    channels = shape[1]
+    bn = BatchNorm1d("bn", channels)
+    bn.gamma[:] = rng.uniform(0.5, 1.5, channels)
+    bn.beta[:] = rng.normal(size=channels)
+    bn.running_mean[:] = rng.normal(size=channels)
+    bn.running_var[:] = rng.uniform(0.5, 2.0, channels)
+    x = rng.normal(3.0, 5.0, size=shape) + rng.normal(size=(1, channels, 1)) * 100.0
+    grad_out = rng.normal(size=shape)
+    want = textbook_batchnorm(
+        x, bn.gamma, bn.beta, bn.running_mean, bn.running_var, grad_out, bn.eps, bn.momentum
+    )
+    x_before = x.copy()
+    out = bn.forward(x, mode="train")
+    grad_in = bn.backward(grad_out)
+    got = (out, bn.running_mean, bn.running_var, grad_in, bn.gamma_grad, bn.beta_grad)
+    for name, g, w in zip(("out", "running_mean", "running_var", "grad_in", "gamma_grad", "beta_grad"), got, want):
+        assert g.tobytes() == w.tobytes(), name
+    assert x.tobytes() == x_before.tobytes()
 
 
 # --------------------------------------------------------------- activations
