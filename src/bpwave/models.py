@@ -291,8 +291,12 @@ class _UShapedNetwork:
     and tests/test_models.py pins the resulting checkpoint entries. The
     calibration layer comes last, so its four entries end every checkpoint.
 
-    With seed None nothing is drawn: the conv weights are left unfilled
-    (np.empty), a skeleton for load_state to fill, as a bundle load does.
+    With seed None nothing is drawn: every conv and BatchNorm array is a
+    read-only placeholder that holds only its shape, a skeleton for
+    load_state to fill, so a bundle load allocates its payload and nothing
+    else. No layer holds a gradient buffer until a backward pass,
+    param_blocks or zero_grads makes it, so a network that only runs
+    inference holds none.
 
     Each subclass binds _forward and _backward as its own forward and
     backward, so per-network timing (perfbench/bench_trace.py) can wrap
@@ -330,6 +334,11 @@ class _UShapedNetwork:
             if self.deeply_supervised
         ][::-1]
         self.final_head = Conv1d("head.final", ch, 1, 1, rng, init="linear")
+        if rng is None:
+            # the calibration keeps its identity map, so an unloaded skeleton still runs
+            for layer in self._layers():
+                if layer is not self.calibration:
+                    layer.hold_shapes_only()
 
     def set_calibration(self, input_scale=1.0, input_offset=0.0, output_scale=1.0, output_offset=0.0):
         self.calibration.set(input_scale, input_offset, output_scale, output_offset)
@@ -349,8 +358,12 @@ class _UShapedNetwork:
             blocks.extend(layer.param_blocks())
         return blocks
 
+    def _named_params(self):
+        """(name, param) pairs, in param_blocks order, without making gradient buffers."""
+        return [(f"{layer.name}.{a}", getattr(layer, a)) for layer in self._layers() for a in layer.params]
+
     def parameter_count(self):
-        return sum(p.size for _, p, _ in self.param_blocks())
+        return sum(p.size for _, p in self._named_params())
 
     def zero_grads(self):
         for _, _, grad in self.param_blocks():
@@ -373,7 +386,7 @@ class _UShapedNetwork:
 
     def summary(self):
         lines = [f"{'layer':<42} {'shape':<16} {'params':>8}"]
-        for name, param, _ in self.param_blocks():
+        for name, param in self._named_params():
             lines.append(f"{name:<42} {str(param.shape):<16} {param.size:>8}")
         lines.append(f"{'total':<42} {'':<16} {self.parameter_count():>8}")
         return "\n".join(lines)

@@ -82,17 +82,34 @@ def _corr_same(x, weight):
 
 
 class _StatefulLayer:
-    """Named arrays of a layer: learned params, each with a <param>_grad
-    buffer, and non-learned buffers; both go into checkpoints."""
+    """Named arrays of a layer: learned params and non-learned buffers, both
+    checkpointed. Each param's <param>_grad buffer is made, zero-filled, on
+    first use (a backward pass, param_blocks), so a layer that only runs
+    inference holds none."""
 
     params = ()
     buffers = ()
+
+    def __getattr__(self, name):
+        # reached only when the attribute is not set yet
+        param = name[: -len("_grad")] if name.endswith("_grad") else None
+        if param not in self.params:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        grad = np.zeros(getattr(self, param).shape)
+        setattr(self, name, grad)
+        return grad
 
     def param_blocks(self):
         return [(f"{self.name}.{a}", getattr(self, a), getattr(self, f"{a}_grad")) for a in self.params]
 
     def state_entries(self):
         return [(f"{self.name}.{a}", getattr(self, a)) for a in self.params + self.buffers]
+
+    def hold_shapes_only(self):
+        """Replace every param and buffer by a read-only placeholder of its
+        shape (see _he_weight): a skeleton for take_state to fill."""
+        for attr in self.params + self.buffers:
+            setattr(self, attr, np.broadcast_to(0.0, getattr(self, attr).shape))
 
     def take_state(self, table):
         """Pop this layer's entries from the name -> array table and keep them
@@ -116,9 +133,10 @@ class _StatefulLayer:
 
 def _he_weight(rng, shape, fan_in, init):
     """He-scaled normal weights ("relu") or unit-gain ones ("linear"); with
-    rng None, an unfilled array of the same shape for a load to replace."""
+    rng None, a read-only zero-stride placeholder that holds only the shape,
+    for a load to replace."""
     if rng is None:
-        return np.empty(shape)
+        return np.broadcast_to(0.0, shape)
     std = np.sqrt((2.0 if init == "relu" else 1.0) / fan_in)
     return rng.normal(0.0, std, size=shape)
 
@@ -126,8 +144,8 @@ def _he_weight(rng, shape, fan_in, init):
 class Conv1d(_StatefulLayer):
     """Stride-1 cross-correlation with zero same-padding and odd kernel.
 
-    With rng None the weight is left unfilled (np.empty) and no number is
-    drawn: the skeleton a checkpoint load fills.
+    With rng None the weight is a read-only placeholder (see _he_weight)
+    and no number is drawn: the skeleton a checkpoint load fills.
     """
 
     params = ("weight", "bias")
@@ -143,10 +161,6 @@ class Conv1d(_StatefulLayer):
             rng, (out_channels, in_channels, kernel_size), in_channels * kernel_size, init
         )
         self.bias = np.zeros(out_channels)
-        # np.zeros, unlike np.zeros_like, leaves a large buffer's fresh pages
-        # untouched until a backward writes them: infer-only use never pays for them
-        self.weight_grad = np.zeros(self.weight.shape)
-        self.bias_grad = np.zeros(out_channels)
         self._x = None
 
     def forward(self, x, mode="train", add_bias=True):
@@ -179,8 +193,8 @@ class TransposedConv1d(_StatefulLayer):
 
     Input sample i feeds output samples 2i (tap 0) and 2i + 1 (tap 1), so
     the taps never overlap. kernel_size is fixed at 2. With rng None the
-    weight is left unfilled (np.empty) and no number is drawn: the skeleton
-    a checkpoint load fills.
+    weight is a read-only placeholder (see _he_weight) and no number is
+    drawn: the skeleton a checkpoint load fills.
     """
 
     params = ("weight", "bias")
@@ -195,8 +209,6 @@ class TransposedConv1d(_StatefulLayer):
         # each output sample sees one tap of each input channel: fan-in C
         self.weight = _he_weight(rng, (out_channels, in_channels, 2), in_channels, init)
         self.bias = np.zeros(out_channels)
-        self.weight_grad = np.zeros(self.weight.shape)
-        self.bias_grad = np.zeros(out_channels)
         self._x = None
 
     def _tap_matrix(self):
@@ -286,8 +298,6 @@ class BatchNorm1d(_StatefulLayer):
         self.beta = np.zeros(channels)
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.gamma_grad = np.zeros(channels)
-        self.beta_grad = np.zeros(channels)
         self._x_hat = None
         self._inv_std = None
 

@@ -276,51 +276,65 @@ class CrossValidationResult:
     refine_network: object = None
 
 
+def _train_fold(store, fold_config, train_idx, val_idx, which, width, input_length):
+    """One fold's networks, trained: (history per stage, selection score, (approx, refine))."""
+    train_store = store.subset(train_idx)
+    val_store = store.subset(val_idx)
+    approx = models.build_unet1d(
+        models.UNet1DConfig.scaled(width, input_length=input_length),
+        seed=fold_config.seed,
+    )
+    result = train_network(approx, train_store, val_store, fold_config, which="approx")
+    fold_history = {"approx": result.history}
+    score = result.best_score
+    refine = None
+    if which == "both":
+        refine = models.build_multiresunet1d(
+            models.MultiResUNet1DConfig.scaled(width, input_length=input_length),
+            seed=fold_config.seed,
+        )
+        refine_result = train_network(
+            refine, train_store, val_store, fold_config, which="refine", approx_network=approx
+        )
+        fold_history["refine"] = refine_result.history
+        score = refine_result.best_score
+    return fold_history, score, (approx, refine)
+
+
 def cross_validate(store, config, k=10, which="approx", width=1.0, input_length=1024):
     """Train one model per fold and keep the one with the best validation loss.
 
     which="approx" trains the approximation network alone; which="both"
     also trains a refinement network per fold on that fold's own frozen
     approximation model and selects on the refinement validation loss.
+    The selection follows np.argmin over the fold scores: the first minimum
+    wins, and the first NaN wins over any number. Only the networks of the
+    fold selected so far are kept while the next fold trains.
     """
     if which not in ("approx", "both"):
         raise ValueError("which must be 'approx' or 'both'")
     plan = kfold_plan(len(store), k=k, seed=config.seed)
     histories = []
     scores = []
-    nets = []
+    selected = chosen = None
     for fold, (train_idx, val_idx) in enumerate(plan.folds):
         fold_config = replace(config, seed=config.seed + 1 + fold)
-        train_store = store.subset(train_idx)
-        val_store = store.subset(val_idx)
-        approx = models.build_unet1d(
-            models.UNet1DConfig.scaled(width, input_length=input_length),
-            seed=fold_config.seed,
+        fold_history, score, nets = _train_fold(
+            store, fold_config, train_idx, val_idx, which, width, input_length
         )
-        result = train_network(approx, train_store, val_store, fold_config, which="approx")
-        fold_history = {"approx": result.history}
-        score = result.best_score
-        refine = None
-        if which == "both":
-            refine = models.build_multiresunet1d(
-                models.MultiResUNet1DConfig.scaled(width, input_length=input_length),
-                seed=fold_config.seed,
-            )
-            refine_result = train_network(
-                refine, train_store, val_store, fold_config, which="refine", approx_network=approx
-            )
-            fold_history["refine"] = refine_result.history
-            score = refine_result.best_score
         histories.append(fold_history)
         scores.append(score)
-        nets.append((approx, refine))
-    selected = int(np.argmin(scores))
+        best = None if selected is None else scores[selected]
+        # best == best: a NaN best stays; not score >= best: a lower score or a NaN
+        if best is None or (best == best and not score >= best):
+            selected, chosen = fold, nets
+        del nets  # a beaten fold's networks are freed before the next fold builds its own
     return CrossValidationResult(
         histories=histories,
         fold_scores=scores,
         selected_fold=selected,
-        approx_network=nets[selected][0],
-        refine_network=nets[selected][1],
+        approx_network=chosen[0],
+        refine_network=chosen[1],
     )
 
 

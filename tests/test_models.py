@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from bpwave import models, tensorops
+from bpwave import datapipe, models, pipeline, tensorops
 from bpwave.models import (
     MultiResUNet1D,
     MultiResUNet1DConfig,
@@ -244,6 +244,62 @@ def test_unseeded_skeleton_draws_nothing_and_keeps_the_loaded_arrays(build, conf
     np.testing.assert_array_equal(
         skeleton.forward(x, mode="infer").final, seeded.forward(x, mode="infer").final
     )
+
+
+def gradient_buffers(net):
+    return [f"{layer.name}.{attr}" for layer in net._layers() for attr in vars(layer) if attr.endswith("_grad")]
+
+
+def test_a_loaded_bundle_that_predicts_holds_no_gradient_buffers(tmp_path):
+    seeded = [
+        build_unet1d(UNet1DConfig.scaled(1 / 16), seed=1),
+        build_multiresunet1d(MultiResUNet1DConfig.scaled(1 / 16), seed=1),
+    ]
+    pipeline.save_bundle(pipeline.PipelineBundle(*seeded), tmp_path)
+    bundle = pipeline.load_bundle(tmp_path)
+    rows, failures = pipeline.batch_predict(bundle, datapipe.synth_generate(3, seed=2))
+    assert failures == [] and len(rows) == 3
+    for net in seeded + [bundle.approx_network, bundle.refine_network]:
+        net.parameter_count()
+        net.summary()
+        assert gradient_buffers(net) == []
+        net.zero_grads()
+        assert len(gradient_buffers(net)) == len(net.param_blocks())
+
+
+@pytest.mark.parametrize(
+    "build, config",
+    [(build_unet1d, UNet1DConfig), (build_multiresunet1d, MultiResUNet1DConfig)],
+)
+def test_one_backward_gives_every_parameter_a_zeroed_buffer_of_its_shape(build, config):
+    """With a zero upstream gradient the backward adds nothing, so each buffer
+    shows how it was made: zero-filled, not left unfilled."""
+    net = build(config.scaled(1 / 16, input_length=64), seed=0)
+    out = net.forward(np.random.default_rng(5).normal(size=(2, 1, 64)), mode="train")
+    net.backward(np.zeros_like(out.final), [np.zeros_like(a) for a in out.auxiliaries])
+    made = 0
+    for layer in net._layers():
+        for attr in layer.params:
+            param, grad = getattr(layer, attr), vars(layer)[f"{attr}_grad"]
+            assert grad.shape == param.shape and not np.shares_memory(grad, param)
+            assert np.all(grad == 0.0), f"{layer.name}.{attr}"
+            made += 1
+    assert len(gradient_buffers(net)) == made == len(net.param_blocks())
+
+
+@pytest.mark.parametrize(
+    "build, config",
+    [(build_unet1d, UNet1DConfig), (build_multiresunet1d, MultiResUNet1DConfig)],
+)
+def test_an_unloaded_skeleton_holds_read_only_shapes(build, config):
+    cfg = config.scaled(1 / 16, input_length=64)
+    skeleton = build(cfg, seed=None)
+    for (name, held), (_, seeded) in zip(skeleton.checkpoint_entries(), build(cfg, seed=0).checkpoint_entries()):
+        assert held.shape == seeded.shape, name
+        if not name.startswith("calibration."):
+            assert not held.flags.writeable and not any(held.strides), name
+    with pytest.raises(ValueError):
+        tensorops.Adam().step(skeleton.param_blocks())
 
 
 SAVED_STATE = ("_x", "_mask", "_argmax", "_x_hat", "_inv_std")

@@ -2,6 +2,7 @@ import json
 import re
 import sys
 import threading
+import tracemalloc
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -402,6 +403,43 @@ def test_loaded_bundle_serves_concurrent_callers_bitwise(tmp_path):
         for row, want in zip(rows, expected):
             assert row.pred_abp.tobytes() == want.pred_abp.tobytes()
             assert row.pred_bp == want.pred_bp and row.waveform_mae == want.waveform_mae
+
+
+def _load_cost(directory, width):
+    """(checkpoint payload bytes, traced peak, traced memory held) of a
+    load_bundle of a seeded bundle at this width, counted from its start."""
+    seeded = [
+        models.build_unet1d(models.UNet1DConfig.scaled(width), seed=3),
+        models.build_multiresunet1d(models.MultiResUNet1DConfig.scaled(width), seed=3),
+    ]
+    save_bundle(PipelineBundle(*seeded), directory)
+    payload = sum(arr.nbytes for net in seeded for _, arr in net.checkpoint_entries())
+    del seeded
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        bundle = load_bundle(directory)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bundle.input_length() == 1024
+    return payload, peak - start, held - start
+
+
+def test_load_bundle_allocates_its_payload_and_nothing_else(tmp_path):
+    """numpy reports its array memory to tracemalloc. The networks' Python
+    objects (layers, entry names, array headers) are the same at every
+    width, so a 1/64-width load measures them; what a 1/4-width load traces
+    beyond that is array memory, at its peak and once loaded. It may exceed
+    the payload it adds by at most 1%: no gradient buffers, no skeleton
+    arrays for the checkpoints to replace."""
+    base = _load_cost(tmp_path / "w64", 1 / 64)
+    quarter = _load_cost(tmp_path / "w4", 1 / 4)
+    payload, peak, held = (q - b for q, b in zip(quarter, base))
+    assert payload > 8_000_000
+    assert peak <= 1.01 * payload, peak / payload
+    assert held <= 1.01 * payload, held / payload
 
 
 # ----------------------------------------------------------------- csv output

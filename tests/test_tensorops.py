@@ -500,6 +500,32 @@ def test_mae_gradient_zero_at_equality():
     np.testing.assert_array_equal(grad, 0.0)
 
 
+# --------------------------------------------------------- gradient buffers
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_conv(3, 4, 3, seed=1),
+        lambda: TransposedConv1d("up", 4, 3, 2, rng_for(2)),
+        lambda: BatchNorm1d("bn", 5),
+    ],
+)
+def test_gradient_buffers_are_made_zeroed_on_first_use(make):
+    layer = make()
+    assert [attr for attr in vars(layer) if attr.endswith("_grad")] == []
+    blocks = layer.param_blocks()
+    assert [name for name, _, _ in blocks] == [f"{layer.name}.{a}" for a in layer.params]
+    for attr, (_, param, grad) in zip(layer.params, blocks):
+        assert vars(layer)[f"{attr}_grad"] is grad
+        assert grad.shape == param.shape and grad.dtype == np.float64
+        assert not np.shares_memory(grad, param)
+        assert np.all(grad == 0.0)
+    assert all(again is grad for (_, _, again), (_, _, grad) in zip(layer.param_blocks(), blocks))
+    for attr in layer.buffers + ("missing",):
+        with pytest.raises(AttributeError):
+            getattr(layer, f"{attr}_grad")
+
+
 # ---------------------------------------------------------------------- adam
 
 def test_adam_first_step_magnitude():

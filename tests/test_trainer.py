@@ -1,4 +1,6 @@
 import hashlib
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -301,6 +303,78 @@ def test_cross_validate_smoke(small_store):
     again = cross_validate(small_store, config, k=2, which="approx", width=1 / 16)
     assert again.selected_fold == result.selected_fold
     assert again.fold_scores == result.fold_scores
+
+
+def _record_builds(monkeypatch):
+    """Weak references to every network cross_validate builds, in build
+    order, and how many of the earlier ones were alive at each build."""
+    built, alive_at_build = [], []
+    for name in ("build_unet1d", "build_multiresunet1d"):
+        def build(*args, _inner=getattr(models, name), **kwargs):
+            alive_at_build.append(sum(ref() is not None for ref in built))
+            net = _inner(*args, **kwargs)
+            built.append(weakref.ref(net))
+            return net
+        monkeypatch.setattr(models, name, build)
+    return built, alive_at_build
+
+
+def test_cross_validate_keeps_only_the_selected_folds_networks(small_store, monkeypatch):
+    config = TrainConfig(epochs=2, batch_size=4, seed=3)
+    built, alive_at_build = _record_builds(monkeypatch)
+    result = cross_validate(small_store, config, k=3, which="both", width=1 / 16)
+    selected = result.selected_fold
+    assert selected == int(np.argmin(result.fold_scores))
+    # each fold builds an approximator, then a refiner; only the pair selected
+    # so far outlives its fold
+    assert alive_at_build == [0, 1, 2, 3, 2, 3]
+    alive = [ref() is not None for ref in built]
+    assert alive == [fold == selected for fold in range(3) for _ in range(2)]
+    assert (built[2 * selected](), built[2 * selected + 1]()) == (
+        result.approx_network,
+        result.refine_network,
+    )
+
+    # the selected fold, trained again alone, as every fold was trained
+    train_idx, val_idx = kfold_plan(len(small_store), k=3, seed=config.seed).folds[selected]
+    fold_config = replace(config, seed=config.seed + 1 + selected)
+    train, val = small_store.subset(train_idx), small_store.subset(val_idx)
+    approx = models.build_unet1d(UNet1DConfig.scaled(1 / 16), seed=fold_config.seed)
+    train_network(approx, train, val, fold_config, which="approx")
+    refine = models.build_multiresunet1d(MultiResUNet1DConfig.scaled(1 / 16), seed=fold_config.seed)
+    train_network(refine, train, val, fold_config, which="refine", approx_network=approx)
+    for got, want in ((result.approx_network, approx), (result.refine_network, refine)):
+        pairs = list(zip(got.checkpoint_entries(), want.checkpoint_entries()))
+        assert len(pairs) == len(want.checkpoint_entries())
+        for (name, a), (want_name, b) in pairs:
+            assert name == want_name and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "scores",
+    [
+        (2.0, 1.0, 1.0),
+        (3.0, 2.0, 1.0),
+        (1.0, np.nan, 0.5, np.nan),
+        (np.nan, np.nan, 0.0),
+        (np.inf, 5.0, np.inf),
+    ],
+)
+def test_cross_validate_selects_by_argmins_rule(small_store, monkeypatch, scores):
+    """The first minimum wins, and the first NaN wins over any number."""
+    remaining = iter(scores)
+
+    def scripted(network, *args, **kwargs):
+        return trainer.TrainResult(history=[], best_epoch=1, best_score=next(remaining), best_entries=[])
+
+    monkeypatch.setattr(trainer, "train_network", scripted)
+    built, alive_at_build = _record_builds(monkeypatch)
+    config = TrainConfig(epochs=1, batch_size=2, seed=0)
+    result = cross_validate(small_store, config, k=len(scores), which="approx", width=1 / 16, input_length=64)
+    assert result.selected_fold == int(np.argmin(scores))
+    assert alive_at_build == [0] + [1] * (len(scores) - 1)
+    assert result.approx_network is built[result.selected_fold]()
+    assert [ref() is not None for ref in built] == [f == result.selected_fold for f in range(len(scores))]
 
 
 # -------------------------------------------------------------- checkpoints
