@@ -5,6 +5,7 @@ are little-endian u32, all floating payloads little-endian float64.
 """
 
 import io
+import math
 import struct
 
 import numpy as np
@@ -86,10 +87,12 @@ def write_f64_block(fh, values):
     fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
 
 
-def read_f64_block(fh, count, context):
-    """A fresh, writable float64 array, read from the file straight into its memory."""
-    _check_declared(fh, 8 * count, context)
-    values = np.empty(count, dtype="<f8")
+def read_f64_block(fh, shape, context):
+    """A fresh, writable float64 array of the given shape (an int for 1-D),
+    read from the file straight into its memory: its own, not a view."""
+    shape = (shape,) if isinstance(shape, int) else tuple(shape)
+    _check_declared(fh, 8 * math.prod(shape), context)
+    values = np.empty(shape, dtype="<f8")
     if fh.readinto(values) != values.nbytes:
         raise TruncatedContainerError(f"file truncated while reading {context}")
     return values

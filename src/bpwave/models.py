@@ -298,6 +298,12 @@ class _UShapedNetwork:
     param_blocks or zero_grads makes it, so a network that only runs
     inference holds none.
 
+    Activations live no longer than the backward pass needs them: each
+    layer drops what it saved in a train-mode forward once its backward has
+    used it, the forward drops each skip tensor once its decoder level has
+    concatenated it, and the backward drops each skip gradient once its
+    encoder level has used it. An infer-mode forward keeps nothing.
+
     Each subclass binds _forward and _backward as its own forward and
     backward, so per-network timing (perfbench/bench_trace.py) can wrap
     them class by class.
@@ -411,7 +417,7 @@ class _UShapedNetwork:
             if self.aux_heads:
                 aux.insert(0, self.calibration.outward(self.aux_heads[l].forward(h, mode)))
             h = self.ups[l].forward(h, mode)
-            h = self.dec[l].forward(concat_channels(h, skips[l]), mode)
+            h = self.dec[l].forward(concat_channels(h, skips.pop()), mode)
         final = self.calibration.outward(self.final_head.forward(h, mode))
         return NetworkOutput(final=final, auxiliaries=aux)
 
@@ -428,9 +434,10 @@ class _UShapedNetwork:
             g = up.backward(g_up)
             if aux_grads[l] is not None:
                 g = g + self.aux_heads[l].backward(aux_grads[l] * scale)
+        g_up = g_skip = None  # each skip gradient now lives in skip_grads alone
         g = self.bottleneck.backward(g)
         for l in reversed(range(len(self.enc))):
-            g = self.pools[l].backward(g) + self.skips[l].backward(skip_grads[l])
+            g = self.pools[l].backward(g) + self.skips[l].backward(skip_grads.pop())
             g = self.enc[l].backward(g)
         return g / self.calibration.input_scale
 

@@ -1,14 +1,14 @@
 """Differentiable 1D layers with hand-written reverse-mode gradients.
 
 Activations travel as float64 arrays of shape (batch, channels, length).
-Each layer object owns its parameters, accumulates gradients on backward,
-and remembers whatever the backward pass needs from the last train-mode
-forward, so a single layer instance supports one forward/backward pair at a
-time. An infer-mode forward keeps nothing, and a backward after it raises
-ShapeError.
+Each layer object owns its parameters and accumulates gradients on
+backward. It holds what its backward pass needs only from a train-mode
+forward to the backward that uses it, and drops it there, so a single layer
+instance supports one forward/backward pair at a time. An infer-mode forward
+keeps nothing; a backward after it, or a second backward after one
+train-mode forward, raises ShapeError.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,11 +177,11 @@ class Conv1d(_StatefulLayer):
         x = self._x
         if x is None or grad_out.shape != (x.shape[0], self.out_channels, x.shape[2]):
             raise ShapeError(f"{self.name}: gradient shape does not match the saved forward")
+        self._x = None
         b, _, length = x.shape
-        # one product over the batch: (O, B*L) @ (B*L, C*K)
+        # one product over the batch, (O, B*L) @ (B*L, C*K), not kept past the +=
         g_rows = grad_out.transpose(1, 0, 2).reshape(self.out_channels, b * length)
-        g_w = g_rows @ _batch_window_stack(x, self.kernel_size).T
-        self.weight_grad += g_w.reshape(self.weight.shape)
+        self.weight_grad += (g_rows @ _batch_window_stack(x, self.kernel_size).T).reshape(self.weight.shape)
         self.bias_grad += grad_out.sum(axis=(0, 2))
         # input gradient = correlation with the channel-swapped, tap-reversed kernel
         w_t = self.weight[:, :, ::-1].transpose(1, 0, 2)
@@ -231,6 +231,7 @@ class TransposedConv1d(_StatefulLayer):
         x = self._x
         if x is None or grad_out.shape != (x.shape[0], self.out_channels, 2 * x.shape[2]):
             raise ShapeError(f"{self.name}: gradient shape does not match the saved forward")
+        self._x = None
         b, c, length = x.shape
         o = self.out_channels
         # g_taps[2*o + t, b*L + i] = grad_out[b, o, 2*i + t]: the forward's tap layout
@@ -273,9 +274,10 @@ class MaxPool1d:
         return np.where(take_odd, odd, even)
 
     def backward(self, grad_out):
-        if self._argmax is None or grad_out.shape != self._argmax.shape:
-            raise ShapeError("pool gradient shape does not match the saved forward")
         take_odd = self._argmax
+        if take_odd is None or grad_out.shape != take_odd.shape:
+            raise ShapeError("pool gradient shape does not match the saved forward")
+        self._argmax = None
         b, c, pooled = take_odd.shape
         grad_in = np.empty((b, c, pooled, 2))
         grad_in[..., 0] = np.where(take_odd, 0.0, grad_out)
@@ -340,9 +342,10 @@ class BatchNorm1d(_StatefulLayer):
         return y
 
     def backward(self, grad_out):
-        x_hat = self._x_hat
+        x_hat, inv_std = self._x_hat, self._inv_std
         if x_hat is None or grad_out.shape != x_hat.shape:
             raise ShapeError(f"{self.name}: gradient shape does not match the saved forward")
+        self._x_hat = self._inv_std = None
         n = x_hat.shape[0] * x_hat.shape[2]
         gx = grad_out * x_hat
         gx_sum = gx.sum(axis=(0, 2))
@@ -353,7 +356,7 @@ class BatchNorm1d(_StatefulLayer):
         # built on one fresh array
         d = grad_out - (g_sum / n)[None, :, None]
         d -= np.multiply(x_hat, (gx_sum / n)[None, :, None], out=gx)
-        d *= (self.gamma * self._inv_std)[None, :, None]
+        d *= (self.gamma * inv_std)[None, :, None]
         return d
 
 
@@ -372,9 +375,11 @@ class ReLU:
         return np.maximum(y, 0.0, out=y)
 
     def backward(self, grad_out):
-        if self._mask is None or grad_out.shape != self._mask.shape:
+        mask = self._mask
+        if mask is None or grad_out.shape != mask.shape:
             raise ShapeError("relu gradient shape does not match the saved forward")
-        return grad_out * self._mask
+        self._mask = None
+        return grad_out * mask
 
 
 def concat_channels(a, b):
@@ -554,6 +559,5 @@ def read_checkpoint(path):
             name = container.read_string(fh, f"checkpoint entry {len(entries)} name")
             rank = container.read_u32(fh, f"rank of '{name}'")
             shape = tuple(container.read_u32(fh, f"dims of '{name}'") for _ in range(rank))
-            values = container.read_f64_block(fh, math.prod(shape), f"payload of '{name}'")
-            entries.append((name, values.reshape(shape)))
+            entries.append((name, container.read_f64_block(fh, shape, f"payload of '{name}'")))
     return entries

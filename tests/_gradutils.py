@@ -4,6 +4,9 @@ import numpy as np
 
 from bpwave import tensorops
 
+# every attribute a layer keeps from a train-mode forward for its backward
+SAVED_STATE = ("_x", "_mask", "_argmax", "_x_hat", "_inv_std")
+
 
 def linear_probe_check(layer, x, include_input=True, h=1e-3, mode="train", seed=0):
     """Gradcheck a layer against the scalar objective sum(out * R).

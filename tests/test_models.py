@@ -1,7 +1,9 @@
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
+from _gradutils import SAVED_STATE
 
 from bpwave import datapipe, models, pipeline, tensorops
 from bpwave.models import (
@@ -246,6 +248,19 @@ def test_unseeded_skeleton_draws_nothing_and_keeps_the_loaded_arrays(build, conf
     )
 
 
+def test_a_loaded_bundle_holds_each_entry_in_an_array_of_its_own(tmp_path):
+    seeded = [
+        build_unet1d(UNet1DConfig.scaled(1 / 16), seed=1),
+        build_multiresunet1d(MultiResUNet1DConfig.scaled(1 / 16), seed=1),
+    ]
+    pipeline.save_bundle(pipeline.PipelineBundle(*seeded), tmp_path)
+    bundle = pipeline.load_bundle(tmp_path)
+    for net in (bundle.approx_network, bundle.refine_network):
+        entries = net.checkpoint_entries()
+        assert len(entries) > 0
+        assert [name for name, array in entries if array.base is not None] == []
+
+
 def gradient_buffers(net):
     return [f"{layer.name}.{attr}" for layer in net._layers() for attr in vars(layer) if attr.endswith("_grad")]
 
@@ -302,9 +317,6 @@ def test_an_unloaded_skeleton_holds_read_only_shapes(build, config):
         tensorops.Adam().step(skeleton.param_blocks())
 
 
-SAVED_STATE = ("_x", "_mask", "_argmax", "_x_hat", "_inv_std")
-
-
 def saved_tensors(net):
     """Every saved-for-backward attribute of every layer object in the network."""
     seen, found, stack = set(), [], [net]
@@ -341,6 +353,82 @@ def test_infer_forward_keeps_nothing(build, config):
     assert all(value is None for _, _, value in after)
     with pytest.raises(ShapeError):
         net.backward(np.ones_like(out.final), [np.ones_like(a) for a in out.auxiliaries])
+
+
+@pytest.mark.parametrize(
+    "build, config",
+    [(build_unet1d, UNet1DConfig), (build_multiresunet1d, MultiResUNet1DConfig)],
+)
+def test_backward_drops_every_saved_tensor(build, config):
+    net = build(config.scaled(1 / 16, input_length=64), seed=0)
+    out = net.forward(np.random.default_rng(3).normal(size=(2, 1, 64)), mode="train")
+    grads = (np.ones_like(out.final), [np.ones_like(a) for a in out.auxiliaries])
+    net.backward(*grads)
+    kept = saved_tensors(net)
+    assert {attr for _, attr, _ in kept} == set(SAVED_STATE)
+    assert [(kind, attr) for kind, attr, value in kept if value is not None] == []
+    with pytest.raises(ShapeError):
+        net.backward(*grads)
+
+
+@pytest.mark.parametrize(
+    "net",
+    [
+        UNet1D(UNet1DConfig(filters_per_level=(3,), input_length=8), seed=0),
+        MultiResUNet1D(MultiResUNet1DConfig(base_widths=(3,), input_length=8), seed=0),
+    ],
+)
+def test_a_one_level_network_runs_one_backward(net):
+    """No encoder or decoder level: the bottleneck alone, then the head."""
+    x = np.random.default_rng(4).normal(size=(2, 1, 8))
+    out = net.forward(x, mode="train")
+    assert out.auxiliaries == []
+    assert net.backward(np.ones_like(out.final)).shape == x.shape
+    with pytest.raises(ShapeError):
+        net.backward(np.ones_like(out.final))
+
+
+@pytest.mark.parametrize(
+    "build, config",
+    [(build_unet1d, UNet1DConfig), (build_multiresunet1d, MultiResUNet1DConfig)],
+)
+def test_train_activations_die_once_used(build, config):
+    """Each skip tensor is dead before the final head runs, each skip
+    gradient before its encoder level's backward, and every array the
+    forward saved once backward returns."""
+    net = build(config.scaled(1 / 16, input_length=64), seed=0)
+    skip_refs, dead_at_head = [], []
+    grad_refs, dead_at_encoder = [], []
+    for skip, enc in zip(net.skips, net.enc):
+        def forward_keeping_a_ref(h, mode, forward=skip.forward):
+            out = forward(h, mode)
+            skip_refs.append(weakref.ref(out))
+            return out
+
+        def backward_keeping_a_ref(grad, backward=skip.backward):
+            grad_refs.append(weakref.ref(grad))
+            return backward(grad)
+
+        def enc_backward(grad, backward=enc.backward):
+            dead_at_encoder.append([ref() is None for ref in grad_refs])
+            return backward(grad)
+
+        skip.forward, skip.backward, enc.backward = forward_keeping_a_ref, backward_keeping_a_ref, enc_backward
+
+    def head_forward(h, mode, forward=net.final_head.forward):
+        dead_at_head.append([ref() is None for ref in skip_refs])
+        return forward(h, mode)
+
+    net.final_head.forward = head_forward
+    out = net.forward(np.random.default_rng(3).normal(size=(2, 1, 64)), mode="train")
+    assert dead_at_head == [[True] * len(net.skips)]
+
+    saved_refs = [weakref.ref(value) for _, _, value in saved_tensors(net)]
+    assert len(saved_refs) > len(net.skips)
+    net.backward(np.ones_like(out.final), [np.ones_like(a) for a in out.auxiliaries])
+    assert sum(ref() is not None for ref in saved_refs) == 0
+    # encoder levels run deepest first, each after its skip's backward
+    assert dead_at_encoder == [[True] * n for n in range(1, len(net.enc) + 1)]
 
 
 # -------------------------------------------------------------- calibration

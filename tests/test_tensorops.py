@@ -1,9 +1,11 @@
 import io
 import struct
+import weakref
 
 import numpy as np
 import pytest
 from _gradutils import (
+    SAVED_STATE,
     linear_probe_check,
     loop_corr_same,
     loop_corr_same_weight_grad,
@@ -524,6 +526,34 @@ def test_gradient_buffers_are_made_zeroed_on_first_use(make):
     for attr in layer.buffers + ("missing",):
         with pytest.raises(AttributeError):
             getattr(layer, f"{attr}_grad")
+
+
+# ----------------------------------------------------- saved-state lifetime
+
+@pytest.mark.parametrize(
+    "make, shape",
+    [
+        (lambda: make_conv(3, 4, 3, seed=1), (2, 3, 8)),
+        (lambda: TransposedConv1d("up", 4, 3, 2, rng_for(2)), (2, 4, 8)),
+        (lambda: BatchNorm1d("bn", 5), (2, 5, 8)),
+        (ReLU, (2, 3, 8)),
+        (MaxPool1d, (2, 3, 8)),
+    ],
+)
+def test_backward_drops_what_the_forward_saved(make, shape):
+    layer = make()
+    # the input is not kept here, so a Conv1d's saved input can die too
+    out = layer.forward(rng_for(4).normal(size=shape), mode="train")
+    saved = {attr: value for attr, value in vars(layer).items() if attr in SAVED_STATE}
+    assert saved and all(value is not None for value in saved.values())
+    refs = [weakref.ref(value) for value in saved.values()]
+    del saved
+    grad = rng_for(5).normal(size=out.shape)
+    layer.backward(grad)
+    assert [attr for attr, value in vars(layer).items() if attr in SAVED_STATE and value is not None] == []
+    assert [ref for ref in refs if ref() is not None] == []
+    with pytest.raises(ShapeError):
+        layer.backward(grad)
 
 
 # ---------------------------------------------------------------------- adam
