@@ -10,7 +10,7 @@ import os
 import sys
 from dataclasses import fields
 
-from . import datapipe, evalstats, models, pipeline, trainer
+from . import datapipe, evalstats, pipeline, trainer
 from .tensorops import AdamConfig, NumericalError
 
 DEFAULT_SEED = 1024  # fixed so every documented example is reproducible
@@ -32,6 +32,8 @@ STORE_FORMAT_HELP = (
     "CSV import: header 'ppg,abp,subject_id', one row per sample; consecutive rows "
     "with one subject id form a recording that is cut into 1024-sample episodes."
 )
+
+STAGE_NAMES = {"approx": "approximation", "refine": "refinement"}
 
 PREDICTIONS_FORMAT_HELP = f"predictions CSV columns: {', '.join(pipeline.PREDICTION_COLUMNS)}."
 
@@ -214,23 +216,13 @@ def _cmd_train(args):
     store = _load_store(args.data)
     config, width, val_fraction = _train_settings(args)
     train_store, val_store = _split_validation(store, val_fraction, config.seed)
-
-    approx = models.build_unet1d(models.UNet1DConfig.scaled(width), seed=config.seed)
-    result = trainer.train_network(approx, train_store, val_store, config, which="approx")
-    os.makedirs(args.out, exist_ok=True)
-    trainer.write_history_csv(os.path.join(args.out, "approx_history.csv"), result.history)
-    print(f"approximation: best epoch {result.best_epoch}, score {result.best_score:.4f}")
-
-    refine = models.build_multiresunet1d(models.MultiResUNet1DConfig.scaled(width), seed=config.seed)
-    refine_result = trainer.train_network(
-        refine, train_store, val_store, config, which="refine", approx_network=approx
-    )
-    trainer.write_history_csv(os.path.join(args.out, "refine_history.csv"), refine_result.history)
-    print(f"refinement: best epoch {refine_result.best_epoch}, score {refine_result.best_score:.4f}")
-
-    pipeline.save_bundle(
-        pipeline.PipelineBundle(approx_network=approx, refine_network=refine), args.out
-    )
+    networks = {}
+    for stage, network, result in trainer.train_cascade(train_store, val_store, config, width):
+        os.makedirs(args.out, exist_ok=True)
+        trainer.write_history_csv(os.path.join(args.out, f"{stage}_history.csv"), result.history)
+        print(f"{STAGE_NAMES[stage]}: best epoch {result.best_epoch}, score {result.best_score:.4f}")
+        networks[stage] = network
+    pipeline.save_bundle(pipeline.PipelineBundle(networks["approx"], networks["refine"]), args.out)
     print(f"bundle written to {args.out}")
     return 0
 

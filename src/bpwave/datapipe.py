@@ -10,6 +10,7 @@ import csv
 import math
 import sys
 import warnings
+from collections import Counter
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -167,7 +168,7 @@ def split_by_subject(store, train_fraction, seed=0):
     target = train_fraction * len(store)
     train_subjects = set()
     count = 0
-    per_subject = {s: sum(1 for r in store if r.subject_id == s) for s in subjects}
+    per_subject = Counter(r.subject_id for r in store)
     for i in perm:
         if count >= target:
             break
@@ -226,9 +227,7 @@ def read_signal_csv(path):
     (store, dropped_count).
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        header_lines = reader.line_num
+        header_lines, header = next(_csv_rows(fh), (0, None))
     # a repeated column name means its last column, as with csv.DictReader
     column = {name: i for i, name in enumerate(header or ())}
     if not set(_SIGNAL_CSV_COLUMNS).issubset(column):
@@ -249,9 +248,10 @@ def read_signal_csv(path):
             table = np.loadtxt(path, dtype=dtype, delimiter=",", quotechar='"', comments=None,
                                skiprows=header_lines, ndmin=1, encoding=None,
                                converters={column["subject_id"]: sys.intern})
-    except ValueError as exc:
+    except ValueError:
         # numpy numbers rows, not lines, and skips blank ones: find the line
-        raise _first_bad_line(path, column, len(header)) or exc from None
+        _raise_bad_line(path, column, len(header))
+        raise
     subjects = table["subject_id"]
     ppg = table["ppg"].copy()
     abp = table["abp"].copy()
@@ -266,32 +266,41 @@ def read_signal_csv(path):
     return EpisodeStore(records), dropped
 
 
-def _first_bad_line(path, column, width):
-    """The ValueError naming the first malformed row of a signal CSV, its
-    line numbered as csv.reader numbers it: a row with another field count
-    than the header, or a PPG or ABP field that float() or numpy's parser
-    rejects. None if there is no such row."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # the header
+def _csv_rows(fh):
+    """(line number, row) per csv.reader row of fh, the line being the last
+    one the row spans. A row the csv module cannot parse (a field over its
+    field size limit, say) raises ValueError naming the line it stopped on."""
+    reader = csv.reader(fh)
+    try:
         for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
+
+
+def _raise_bad_line(path, column, width):
+    """Raise the ValueError naming the first malformed row of a signal CSV,
+    its line numbered as csv.reader numbers it: a row the csv module cannot
+    parse, a row with another field count than the header, or a PPG or ABP
+    field that float() or numpy's parser rejects. Return if there is none."""
+    with open(path, newline="") as fh:
+        rows = _csv_rows(fh)
+        next(rows)  # the header
+        for line, row in rows:
             if not row:
                 continue
             if len(row) != width:
                 side = "fewer" if len(row) < width else "more"
-                return ValueError(f"line {reader.line_num}: row has {side} fields than the header")
+                raise ValueError(f"line {line}: row has {side} fields than the header") from None
             for name in ("ppg", "abp"):
                 text = row[column[name]]
                 try:
                     float(text)
                 except ValueError as exc:
-                    return ValueError(f"line {reader.line_num}: {exc}")
+                    raise ValueError(f"line {line}: {exc}") from None
                 # numpy also rejects digit-group underscores and non-ASCII digits
                 if "_" in text or not text.strip().isascii():
-                    return ValueError(
-                        f"line {reader.line_num}: could not convert string to float: {text!r}"
-                    )
-    return None
+                    raise ValueError(f"line {line}: could not convert string to float: {text!r}") from None
 
 
 # ------------------------------------------------------------------ synthesis

@@ -98,6 +98,10 @@ def _read_meta(directory):
             raise ValueError(f"{BUNDLE_META}: '{stage}.{widths}' must be a non-empty list of positive integers")
         if not _is_positive_int(part.get("input_length")):
             raise ValueError(f"{BUNDLE_META}: '{stage}.input_length' must be a positive integer")
+    approx_length, refine_length = meta["approx"]["input_length"], meta["refine"]["input_length"]
+    if approx_length != refine_length:
+        raise ValueError(f"{BUNDLE_META}: 'approx.input_length' {approx_length} and "
+                         f"'refine.input_length' {refine_length} differ")
     return meta
 
 
@@ -129,7 +133,7 @@ def load_bundle(directory):
     )
 
 
-# Episodes per stacked forward in batch_predict. Every layer is
+# Episodes per stacked forward of each network. Every layer is
 # batch-invariant in infer mode, so the stack size changes speed and memory,
 # never a prediction. At desk width, 4 runs 50 windows in about a third of
 # the one-at-a-time time; 8 and 16 gain a few percent more and add 2-7% to
@@ -156,21 +160,26 @@ def _network_inputs(bundle, windows):
 
 
 def _cascade(bundle, x):
-    """(B, L) conditioned windows to (B, L) predicted pressure (mmHg).
+    """(B, L) conditioned windows to (B, L) predicted pressure (mmHg), each
+    network in stacks of PREDICT_STACK. Each row is bitwise that window's
+    alone, so a non-finite row (from a NaN weight, say) leaves the others
+    unchanged; an infer-mode forward raises only for a shape, which every
+    row shares."""
+    rough = trainer.predict_batched(bundle.approx_network, x[:, None, :], PREDICT_STACK)
+    return trainer.predict_batched(bundle.refine_network, rough, PREDICT_STACK)[:, 0]
 
-    Raises NumericalError if any predicted sample is non-finite, as a NaN
-    or infinite weight in a loaded bundle makes it.
-    """
-    rough = bundle.approx_network.forward(x[:, None, :], mode="infer").final
-    pred = bundle.refine_network.forward(rough, mode="infer").final[:, 0]
+
+def _check_finite(pred):
     if not np.all(np.isfinite(pred)):
         raise tensorops.NumericalError("predicted waveform contains non-finite samples")
-    return pred
 
 
 def predict_waveform(bundle, ppg):
-    """Predict the pressure waveform for one PPG window (mmHg)."""
-    return _cascade(bundle, _network_inputs(bundle, _checked_window(bundle, ppg)[None]))[0]
+    """Predict the pressure waveform for one PPG window (mmHg); NumericalError
+    if any predicted sample is non-finite."""
+    pred = _cascade(bundle, _network_inputs(bundle, _checked_window(bundle, ppg)[None]))[0]
+    _check_finite(pred)
+    return pred
 
 
 @dataclass
@@ -211,12 +220,12 @@ def batch_predict(bundle, store):
     """Run the pipeline over a store; failing episodes are skipped, not fatal.
 
     Every episode is validated on its own, then the valid ones are
-    conditioned in one call. The cascade runs on chunks of PREDICT_STACK
-    store indices, each chunk's valid episodes as one stacked forward; if
-    that forward raises, they run again one at a time, so only the failing
-    ones are skipped. Every row is bitwise what predict_waveform gives for
-    its episode alone. Returns (rows, failures) where failures is a list of
-    (index, message) in episode order.
+    conditioned in one call and run through one cascade pass. An episode
+    whose predicted row is non-finite fails alone, with predict_waveform's
+    message; an exception raised by a network propagates. Every row is
+    bitwise what predict_waveform gives for its episode alone. Returns
+    (rows, failures) where failures is a list of (index, message) in
+    episode order.
     """
     rows = []
     failures = []
@@ -227,32 +236,24 @@ def batch_predict(bundle, store):
         except ValueError as exc:
             failures.append((i, str(exc)))
     inputs = _conditioned_inputs(bundle, windows, failures)
-    for start in range(0, len(store), PREDICT_STACK):
-        chunk = [i for i in range(start, min(start + PREDICT_STACK, len(store))) if i in inputs]
-        if not chunk:
-            continue
+    preds = _cascade(bundle, np.stack(list(inputs.values()))) if inputs else ()
+    for i, pred in zip(inputs, preds):
+        rec = store[i]
         try:
-            preds = list(_cascade(bundle, np.stack([inputs[i] for i in chunk])))
-        except _EPISODE_ERRORS:
-            preds = [None] * len(chunk)  # each episode runs again on its own below
-        for i, pred in zip(chunk, preds):
-            rec = store[i]
-            try:
-                if pred is None:
-                    pred = _cascade(bundle, inputs[i][None])[0]
-                rows.append(
-                    PredictionRow(
-                        index=i,
-                        subject_id=rec.subject_id,
-                        true_bp=extract_bp(rec.abp),
-                        pred_bp=extract_bp(pred),
-                        waveform_mae=waveform_mae(pred, rec.abp),
-                        sqi=sigproc.skewness_sqi(rec.ppg),
-                        pred_abp=pred,
-                    )
+            _check_finite(pred)
+            rows.append(
+                PredictionRow(
+                    index=i,
+                    subject_id=rec.subject_id,
+                    true_bp=extract_bp(rec.abp),
+                    pred_bp=extract_bp(pred),
+                    waveform_mae=waveform_mae(pred, rec.abp),
+                    sqi=sigproc.skewness_sqi(rec.ppg),
+                    pred_abp=pred,
                 )
-            except _EPISODE_ERRORS as exc:
-                failures.append((i, str(exc)))
+            )
+        except _EPISODE_ERRORS as exc:
+            failures.append((i, str(exc)))
     failures.sort(key=lambda failure: failure[0])
     return rows, failures
 

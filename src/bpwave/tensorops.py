@@ -34,40 +34,28 @@ def _check_activation(x, in_channels=None):
         raise ShapeError(f"expected {in_channels} input channels, got {x.shape[1]}")
 
 
-def _shifted_taps(x, k, axis):
-    """Zero-padded shifted copies of x: a fresh array of shape
-    x.shape[:axis] + (k,) + x.shape[axis:] whose index t on the new axis
-    holds x shifted along its last axis by t - k//2."""
-    length = x.shape[-1]
-    cols = np.empty(x.shape[:axis] + (k,) + x.shape[axis:])
-    taps = cols.transpose((axis,) + tuple(range(axis)) + tuple(range(axis + 1, cols.ndim)))
+def _windows(x, k):
+    """Same-padded windows of (B, C, L), K odd: a (B, C*K, L) array whose row
+    c*K + t holds channel c shifted by t - K//2, zero-padded. For K = 1, x.
+
+    For K > 1, the transposed view of a fresh (C*K, B, L) array filled by K
+    slice copies: each sample's rows keep unit stride, so a per-sample
+    product still reaches BLAS, and the transpose back reshapes to the
+    batch's (C*K, B*L) columns without a copy."""
+    if k == 1:
+        return x
+    b, c, length = x.shape
+    cols = np.empty((c, k, b, length))
+    x_cb = x.transpose(1, 0, 2)
     for t in range(k):
         s = t - k // 2
         # valid columns [lo, hi), clamped so the two pad slices stay in range
         lo = min(length, max(0, -s))
         hi = max(lo, min(length, length - s))
-        taps[t, ..., :lo] = 0.0
-        taps[t, ..., hi:] = 0.0
-        taps[t, ..., lo:hi] = x[..., lo + s : hi + s]
-    return cols
-
-
-def _window_stack(x, k):
-    """(B, C*K, L) same-padded windows: row c*K + t holds channel c shifted by t - K//2."""
-    if k == 1:
-        return x
-    b, c, length = x.shape
-    return _shifted_taps(x, k, 2).reshape(b, c * k, length)
-
-
-def _batch_window_stack(x, k):
-    """(C*K, B*L) same-padded windows of the whole batch: row c*K + t holds
-    channel c of every sample, shifted by t - K//2, samples side by side."""
-    b, c, length = x.shape
-    x_cb = x.transpose(1, 0, 2)
-    if k == 1:
-        return x_cb.reshape(c, b * length)
-    return _shifted_taps(x_cb, k, 1).reshape(c * k, b * length)
+        cols[:, t, :, :lo] = 0.0
+        cols[:, t, :, hi:] = 0.0
+        cols[:, t, :, lo:hi] = x_cb[..., lo + s : hi + s]
+    return cols.reshape(c * k, b, length).transpose(1, 0, 2)
 
 
 def _corr_same(x, weight):
@@ -78,7 +66,7 @@ def _corr_same(x, weight):
     agree bitwise.
     """
     out_ch, c, k = weight.shape
-    return weight.reshape(out_ch, c * k) @ _window_stack(x, k)
+    return weight.reshape(out_ch, c * k) @ _windows(x, k)
 
 
 class _StatefulLayer:
@@ -179,9 +167,14 @@ class Conv1d(_StatefulLayer):
             raise ShapeError(f"{self.name}: gradient shape does not match the saved forward")
         self._x = None
         b, _, length = x.shape
-        # one product over the batch, (O, B*L) @ (B*L, C*K), not kept past the +=
+        # one product over the batch, (O, B*L) @ (B*L, C*K); the windows' (C*K, B*L)
+        # form is a reshape of their transpose (a copy for K = 1)
         g_rows = grad_out.transpose(1, 0, 2).reshape(self.out_channels, b * length)
-        self.weight_grad += (g_rows @ _batch_window_stack(x, self.kernel_size).T).reshape(self.weight.shape)
+        cols = _windows(x, self.kernel_size).transpose(1, 0, 2).reshape(-1, b * length)
+        self.weight_grad += (g_rows @ cols.T).reshape(self.weight.shape)
+        # freed before the input gradient builds its own windows: with both alive,
+        # a (B16, C4->O4, L1024) backward took ~1000 page faults and 3.5x the time
+        del cols
         self.bias_grad += grad_out.sum(axis=(0, 2))
         # input gradient = correlation with the channel-swapped, tap-reversed kernel
         w_t = self.weight[:, :, ::-1].transpose(1, 0, 2)

@@ -214,6 +214,20 @@ def train_network(network, train_store, val_store, config, which="approx", appro
     )
 
 
+def train_cascade(train_store, val_store, config, width, input_length=1024, refine=True):
+    """Train the approximation U-Net, then (refine true) the refinement
+    MultiResUNet on its frozen output, both built at this width and seeded
+    with config.seed. Yields (stage, network, TrainResult) as each stage
+    ends, "approx" then "refine"."""
+    approx = models.build_unet1d(models.UNet1DConfig.scaled(width, input_length=input_length), seed=config.seed)
+    yield "approx", approx, train_network(approx, train_store, val_store, config, which="approx")
+    if refine:
+        refiner = models.build_multiresunet1d(
+            models.MultiResUNet1DConfig.scaled(width, input_length=input_length), seed=config.seed)
+        yield "refine", refiner, train_network(
+            refiner, train_store, val_store, config, which="refine", approx_network=approx)
+
+
 def write_history_csv(path, history):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -276,31 +290,6 @@ class CrossValidationResult:
     refine_network: object = None
 
 
-def _train_fold(store, fold_config, train_idx, val_idx, which, width, input_length):
-    """One fold's networks, trained: (history per stage, selection score, (approx, refine))."""
-    train_store = store.subset(train_idx)
-    val_store = store.subset(val_idx)
-    approx = models.build_unet1d(
-        models.UNet1DConfig.scaled(width, input_length=input_length),
-        seed=fold_config.seed,
-    )
-    result = train_network(approx, train_store, val_store, fold_config, which="approx")
-    fold_history = {"approx": result.history}
-    score = result.best_score
-    refine = None
-    if which == "both":
-        refine = models.build_multiresunet1d(
-            models.MultiResUNet1DConfig.scaled(width, input_length=input_length),
-            seed=fold_config.seed,
-        )
-        refine_result = train_network(
-            refine, train_store, val_store, fold_config, which="refine", approx_network=approx
-        )
-        fold_history["refine"] = refine_result.history
-        score = refine_result.best_score
-    return fold_history, score, (approx, refine)
-
-
 def cross_validate(store, config, k=10, which="approx", width=1.0, input_length=1024):
     """Train one model per fold and keep the one with the best validation loss.
 
@@ -319,22 +308,22 @@ def cross_validate(store, config, k=10, which="approx", width=1.0, input_length=
     selected = chosen = None
     for fold, (train_idx, val_idx) in enumerate(plan.folds):
         fold_config = replace(config, seed=config.seed + 1 + fold)
-        fold_history, score, nets = _train_fold(
-            store, fold_config, train_idx, val_idx, which, width, input_length
-        )
-        histories.append(fold_history)
+        stages = list(train_cascade(store.subset(train_idx), store.subset(val_idx), fold_config,
+                                    width, input_length, refine=which == "both"))
+        histories.append({stage: result.history for stage, _, result in stages})
+        score = stages[-1][2].best_score
         scores.append(score)
         best = None if selected is None else scores[selected]
         # best == best: a NaN best stays; not score >= best: a lower score or a NaN
         if best is None or (best == best and not score >= best):
-            selected, chosen = fold, nets
-        del nets  # a beaten fold's networks are freed before the next fold builds its own
+            selected, chosen = fold, {stage: network for stage, network, _ in stages}
+        del stages  # a beaten fold's networks are freed before the next fold builds its own
     return CrossValidationResult(
         histories=histories,
         fold_scores=scores,
         selected_fold=selected,
-        approx_network=chosen[0],
-        refine_network=chosen[1],
+        approx_network=chosen["approx"],
+        refine_network=chosen.get("refine"),
     )
 
 

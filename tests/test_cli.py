@@ -342,6 +342,20 @@ def test_cv_smoke(tmp_path, synth_store):
     assert not (out / "best_refine.ckpt").exists()
 
 
+def test_cv_both_writes_both_stages(tmp_path, synth_store):
+    out = tmp_path / "cv"
+    code = run(
+        "cv", "--data", str(synth_store), "--out", str(out), "--k", "2", "--which", "both",
+        "--epochs", "1", "--width", "0.03125", "--batch-size", "8", "--seed", "3",
+    )
+    assert code == 0
+    for fold in (0, 1):
+        for stage in ("approx", "refine"):
+            history = (out / f"fold{fold:02d}_{stage}_history.csv").read_text().splitlines()
+            assert history[0] == "epoch,train_loss,val_loss" and len(history) == 2
+    assert (out / "best_approx.ckpt").exists() and (out / "best_refine.ckpt").exists()
+
+
 def test_evaluate_parses_predictions_once(tmp_path, monkeypatch):
     preds = tmp_path / "preds.csv"
     lines = ["episode_index,subject_id,sbp_true,dbp_true,map_true,sbp_pred,dbp_pred,map_pred,waveform_mae,sqi"]

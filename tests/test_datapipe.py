@@ -140,6 +140,20 @@ def test_split_by_subject_keeps_subjects_whole():
     assert len(train) + len(test) == 40
 
 
+def test_split_by_subject_is_pinned():
+    """Uneven subjects, so the count of each one steers where the split stops."""
+    sizes = [1, 7, 2, 9, 3, 5, 4, 6, 3]
+    store = EpisodeStore([flat_record(100.0, f"s{j}") for j, n in enumerate(sizes) for _ in range(n)])
+    pinned = {
+        0: ({"s2", "s3", "s4", "s5", "s6", "s8"}, {"s0", "s1", "s7"}),
+        5: ({"s0", "s1", "s2", "s3", "s4", "s7"}, {"s5", "s6", "s8"}),
+    }
+    for seed, (train_subjects, test_subjects) in pinned.items():
+        train, test = split_by_subject(store, 0.6, seed=seed)
+        assert {r.subject_id for r in train} == train_subjects
+        assert {r.subject_id for r in test} == test_subjects
+
+
 # ---------------------------------------------------------------------- storage
 
 def test_store_roundtrip(tmp_path):
@@ -242,6 +256,34 @@ def test_csv_import_bad_value_names_line(tmp_path):
         path.write_text(f"ppg,abp,subject_id\n0.1,90,a\n{bad_row}\n")
         with pytest.raises(ValueError, match="line 3"):
             read_signal_csv(path)
+
+
+@pytest.mark.parametrize("kind", ["run", "text", "drop", "extra"])
+@pytest.mark.parametrize("field", [0, 1, 2])
+@pytest.mark.parametrize("line", [1, 2, 3, 4])
+def test_every_csv_parse_failure_names_its_line(tmp_path, line, field, kind):
+    """One field of one line spoilt: a 140,000-character run (past the csv
+    module's field size limit), a word, the field dropped or one added. A
+    failure names the spoilt line."""
+    lines = [["ppg", "abp", "subject_id"]] + [["0.1", "90", "a"] for _ in range(3)]
+    row = lines[line - 1]
+    if kind == "run":
+        row[field] += "x" * 140_000
+    elif kind == "text":
+        row[field] = "oops"
+    elif kind == "drop":
+        del row[field]
+    else:
+        row.insert(field, "7")
+    path = tmp_path / "spoilt.csv"
+    path.write_text("".join(",".join(fields) + "\n" for fields in lines))
+    if line == 1 and kind != "run":
+        return  # a spoilt column name is a missing column, not a parse failure
+    if kind in ("run", "text") and field == 2 and line > 1:
+        read_signal_csv(path)  # any subject id parses
+        return
+    with pytest.raises(ValueError, match=f"^line {line}: "):
+        read_signal_csv(path)
 
 
 def hand_written_signal(n):

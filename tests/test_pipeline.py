@@ -42,11 +42,26 @@ class IdentityNetwork:
         return NetworkOutput(final=x, auxiliaries=[])
 
 
+def marked(x):
+    """Rows of a (B, C, L) stack that hold a marker sample (above 1e5)."""
+    return np.max(np.abs(x), axis=(1, 2)) > 1e5
+
+
 class ExplodingNetwork(IdentityNetwork):
     def forward(self, x, mode="infer"):
-        if np.max(np.abs(x)) > 1e5:
+        if marked(x).any():
             raise ValueError("marker episode")
         return NetworkOutput(final=x, auxiliaries=[])
+
+
+class NaNRowNetwork(IdentityNetwork):
+    """Test double: forwards its input, with a NaN row for a marked episode,
+    as a real network gives for a non-finite value on that row's path."""
+
+    def forward(self, x, mode="infer"):
+        out = x.copy()
+        out[marked(x)] = np.nan
+        return NetworkOutput(final=out, auxiliaries=[])
 
 
 def stub_bundle(length=1024, approx=None):
@@ -201,11 +216,21 @@ def test_batch_predict_rows_match_single_calls():
 def test_batch_predict_skips_failures():
     store = datapipe.synth_generate(3, seed=7)
     store.records[1].ppg[0] = 1e6  # finite, so the record itself is valid
-    bundle = stub_bundle(approx=ExplodingNetwork())
+    bundle = stub_bundle(approx=NaNRowNetwork())
     rows, failures = batch_predict(bundle, store)
-    assert len(rows) == 2 and len(failures) == 1
-    assert failures[0][0] == 1 and "marker" in failures[0][1]
+    with pytest.raises(tensorops.NumericalError) as exc:
+        predict_waveform(bundle, store[1].ppg)
+    assert failures == [(1, str(exc.value))] and "non-finite" in failures[0][1]
     assert [r.index for r in rows] == [0, 2]
+    for row in rows:
+        np.testing.assert_array_equal(row.pred_abp, predict_waveform(bundle, store[row.index].ppg))
+
+
+def test_batch_predict_propagates_a_network_exception():
+    store = datapipe.synth_generate(3, seed=7)
+    store.records[1].ppg[0] = 1e6
+    with pytest.raises(ValueError, match="marker episode"):
+        batch_predict(stub_bundle(approx=ExplodingNetwork()), store)
 
 
 def test_batch_predict_skips_a_window_whose_conditioning_overflows():
@@ -221,18 +246,19 @@ def test_batch_predict_skips_a_window_whose_conditioning_overflows():
 
 
 class MarkerNetwork:
-    """Test double: a real network that raises on any stack holding a marker episode."""
+    """Test double: a real network whose output row is NaN for a marked
+    episode; it records the stacks it runs."""
 
     def __init__(self, inner):
         self.inner = inner
         self.config = inner.config
-        self.stack_sizes = []
+        self.stacks = []
 
     def forward(self, x, mode="infer"):
-        self.stack_sizes.append(x.shape[0])
-        if np.max(np.abs(x)) > 1e5:
-            raise ValueError("marker episode")
-        return self.inner.forward(x, mode=mode)
+        self.stacks.append(x)
+        out = self.inner.forward(x, mode=mode)
+        out.final[marked(x)] = np.nan
+        return out
 
 
 def test_batch_predict_multi_stack_isolates_failures():
@@ -241,29 +267,30 @@ def test_batch_predict_multi_stack_isolates_failures():
     bundle = PipelineBundle(approx_network=marker, refine_network=real.refine_network)
     store = datapipe.synth_generate(9, seed=13)
     store.records[2].ppg[5] = np.nan
-    store.records[5].ppg[0] = 1e6  # finite, so only the stacked forward rejects it
+    store.records[5].ppg[0] = 1e6  # finite, so only the network's output rejects it
     short = store.records[7]
     store.records[7] = datapipe.EpisodeRecord(short.ppg[:-1], short.abp, short.subject_id)
 
     rows, failures = batch_predict(bundle, store)
 
+    # the seven valid episodes run once each, in stacks of 4 and 3; only
+    # the second holds the marked episode
+    assert [x.shape[0] for x in marker.stacks] == [4, 3]
+    assert [int(marked(x).sum()) for x in marker.stacks] == [0, 1]
+
     expected = []
     for i in (2, 5, 7):
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises((ValueError, tensorops.NumericalError)) as exc:
             predict_waveform(bundle, store[i].ppg)
         expected.append((i, str(exc.value)))
     assert failures == expected
-    assert "non-finite" in failures[0][1] and "marker" in failures[1][1]
+    assert "non-finite" in failures[0][1] and "non-finite" in failures[1][1]
     assert "1023" in failures[2][1]
     assert [r.index for r in rows] == [0, 1, 3, 4, 6, 8]
     for row in rows:
         single = predict_waveform(real, store[row.index].ppg)
         np.testing.assert_array_equal(row.pred_abp, single)
         assert row.waveform_mae == waveform_mae(single, store[row.index].abp)
-    # chunks of 4, 4 and 1 episodes; the second chunk's stack holds the
-    # marker, so its episodes run again one at a time; the rest are the
-    # predict_waveform calls above
-    assert marker.stack_sizes[:6] == [3, 3, 1, 1, 1, 1]
 
 
 # ------------------------------------------------------------------- bundles
@@ -302,6 +329,15 @@ def test_depth_two_bundle_roundtrip(tmp_path):
     for row, ref in zip(rows, want):
         assert row.pred_abp.tobytes() == ref.pred_abp.tobytes()
         assert row.pred_bp == ref.pred_bp
+
+
+def test_load_bundle_rejects_networks_of_two_input_lengths(tmp_path):
+    save_bundle(tiny_bundle(seed=8), tmp_path)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    meta["refine"]["input_length"] = 512
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="'approx.input_length' 1024 and 'refine.input_length' 512 differ"):
+        load_bundle(tmp_path)
 
 
 def test_bundle_version_check(tmp_path):

@@ -1,4 +1,4 @@
-"""Corrupted containers: truncations and bit flips fail only with ValueError.
+"""Corrupted containers and signal CSVs fail only with ValueError.
 
 ContainerFormatError is a ValueError, so the CLI maps every such failure to
 exit 2. A read that happens to succeed (a flip inside a payload) is fine.
@@ -57,5 +57,40 @@ def test_corrupted_store_fails_only_with_value_errors(pristine, data):
     path.write_bytes(data.draw(corruptions(raw)))
     try:
         datapipe.read_store(path)
+    except ValueError:
+        pass
+
+
+CSV_TEXT = "ppg,abp,subject_id\n" + "".join(f"0.{i},9{i},s{i // 2}\n" for i in range(4))
+CSV_ALPHABET = ',"\r\n 0123456789.e-_xs\x00\u00e9'
+
+
+@st.composite
+def csv_corruptions(draw):
+    """CSV_TEXT as UTF-8 with one to three insertions: a few drawn characters,
+    a few drawn bytes, or a 140,000-byte run of one drawn character, past the
+    csv module's 131,072-character field size limit."""
+    raw = bytearray(CSV_TEXT.encode())
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(raw)))
+        kind = draw(st.sampled_from(["text", "bytes", "run"]))
+        if kind == "text":
+            piece = draw(st.text(CSV_ALPHABET, min_size=1, max_size=6)).encode()
+        elif kind == "bytes":
+            piece = draw(st.binary(min_size=1, max_size=4))
+        else:
+            piece = draw(st.sampled_from('x9,"\n ')).encode() * 140_000
+        raw[at:at] = piece
+    return bytes(raw)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_corrupted_signal_csv_fails_only_with_value_errors(pristine, data):
+    folder = pristine[0]
+    path = folder / "corrupt.csv"
+    path.write_bytes(data.draw(csv_corruptions()))
+    try:
+        datapipe.read_signal_csv(path)
     except ValueError:
         pass
