@@ -10,7 +10,11 @@ Pair i uses seed i for both sides; odd pairs run the parent first and even
 pairs the change first. One run at a time, so the two sides never share the
 machine. The output file holds, per workload and metric, each side's runs,
 median and first and third quartiles (statistics.quantiles, inclusive
-method), the pairs in which the change was better, and the metric's bound.
+method), the same summary of the per-pair ratios change/parent, the pairs in
+which the change was better, and the metric's bound. A drift in host load
+that both sides of a pair share moves the per-side quartiles but not the
+ratios. The host record names the numpy build the runs import and the
+usable-core count bpwave's inference threads use.
 """
 
 import argparse
@@ -21,7 +25,11 @@ import statistics
 import subprocess
 import sys
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+from bpwave.trainer import usable_cores  # noqa: E402
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -60,7 +68,8 @@ def main(argv=None):
         "command": "python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {spec['run_seconds']} --trace 0",
         "pairs": args.pairs,
-        "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
+        "host": {"cpus": os.cpu_count(), "usable_cores": usable_cores(),
+                 "python": platform.python_version(), "numpy": np.__version__,
                  "machine": platform.machine()},
         "workloads": {},
     }
@@ -84,6 +93,7 @@ def main(argv=None):
             entry[name] = {
                 "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
                 "parent": summary(parent), "change": summary(change),
+                "change_over_parent": summary([c / p for p, c in zip(parent, change)]),
                 "change_better_pairs": sum((c < p) if lower else (c > p) for p, c in zip(parent, change)),
             }
         record["workloads"][workload] = entry

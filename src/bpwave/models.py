@@ -56,6 +56,11 @@ class UNet1DConfig:
         return len(self.filters_per_level)
 
     @property
+    def first_level_channels(self):
+        """Channels of the first block's output, at the input length."""
+        return self.filters_per_level[0]
+
+    @property
     def deep_supervision_weights(self):
         return self.SUPERVISION_WEIGHTS[: self.depth]
 
@@ -92,6 +97,11 @@ class MultiResUNet1DConfig:
     def res_path_lengths(self):
         """Links per skip path, shallowest first: depth - 1 down to 1."""
         return tuple(range(self.depth - 1, 0, -1))
+
+    @property
+    def first_level_channels(self):
+        """Channels of the first block's output, at the input length."""
+        return sum(self.stage_filters(0))
 
     def block_width(self, level):
         # clamped so the W/6 stage keeps at least one filter at tiny test widths

@@ -133,13 +133,6 @@ def load_bundle(directory):
     )
 
 
-# Episodes per stacked forward of each network. Every layer is
-# batch-invariant in infer mode, so the stack size changes speed and memory,
-# never a prediction. At desk width, 4 runs 50 windows in about a third of
-# the one-at-a-time time; 8 and 16 gain a few percent more and add 2-7% to
-# the peak memory of a process that predicts 50 windows.
-PREDICT_STACK = 4
-
 _EPISODE_ERRORS = (ValueError, tensorops.ShapeError, tensorops.NumericalError)
 
 
@@ -161,12 +154,12 @@ def _network_inputs(bundle, windows):
 
 def _cascade(bundle, x):
     """(B, L) conditioned windows to (B, L) predicted pressure (mmHg), each
-    network in stacks of PREDICT_STACK. Each row is bitwise that window's
-    alone, so a non-finite row (from a NaN weight, say) leaves the others
-    unchanged; an infer-mode forward raises only for a shape, which every
-    row shares."""
-    rough = trainer.predict_batched(bundle.approx_network, x[:, None, :], PREDICT_STACK)
-    return trainer.predict_batched(bundle.refine_network, rough, PREDICT_STACK)[:, 0]
+    network run by trainer.predict_batched. Each row is bitwise that window's
+    alone, whatever the core count, so a non-finite row (from a NaN weight,
+    say) leaves the others unchanged; an infer-mode forward raises only for
+    a shape, which every row shares."""
+    rough = trainer.predict_batched(bundle.approx_network, x[:, None, :])
+    return trainer.predict_batched(bundle.refine_network, rough)[:, 0]
 
 
 def _check_finite(pred):

@@ -9,6 +9,8 @@ learn in normalized units while losses and histories stay in mmHg.
 """
 
 import csv
+import os
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -104,12 +106,72 @@ def calibrate_network(network, targets, inputs=None):
     network.set_calibration(**kwargs)
 
 
-def predict_batched(network, x, batch_size=64):
-    """Infer-mode forward over a large array, preserving order."""
-    outs = []
-    for start in range(0, x.shape[0], batch_size):
-        outs.append(network.forward(x[start : start + batch_size], mode="infer").final)
-    return np.concatenate(outs, axis=0) if outs else np.zeros_like(x)
+# Most episodes per stacked infer-mode forward. Every layer is
+# batch-invariant in infer mode, so the stacking changes speed and memory,
+# never a prediction. At desk width, 4 runs 50 windows in about a third of
+# the one-at-a-time time; 8 and 16 gain a few percent more and add 2-7% to
+# the peak memory of a process that predicts 50 windows.
+PREDICT_STACK = 4
+# First-level activation values (channels x length) a stack needs before
+# splitting stacks across threads pays: below it, the GIL hand-offs between
+# a desk-width stack's small ops cost more than the second core gives.
+THREAD_STACK_VALUES = 1 << 15
+
+
+def usable_cores():
+    """Cores this process may run on: the most threads predict_batched uses."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def predict_batched(network, x):
+    """Infer-mode forward of a (B, C, L) array in stacks, rows in order.
+
+    A stack holds the fewest episodes whose first-level activations
+    (network.config.first_level_channels x L) reach THREAD_STACK_VALUES, but
+    never more than PREDICT_STACK. Stacks that reach it are spread over
+    usable_cores() threads, at most ceil(B / cores) episodes each: the
+    calling thread and one helper per extra core, each taking every
+    cores-th stack. Other stacks run serially on the calling thread. Each
+    stack is the same per-sample BLAS call sequence on whichever thread runs
+    it, so every row is bitwise the serial path's. An exception from any
+    stack re-raises here, after every helper has been joined.
+    """
+    n = x.shape[0]
+    if n == 0:
+        return np.zeros_like(x)
+    per_episode = network.config.first_level_channels * x.shape[-1]
+    size = min(PREDICT_STACK, -(-THREAD_STACK_VALUES // per_episode))
+    workers = usable_cores() if size * per_episode >= THREAD_STACK_VALUES else 1
+    size = min(size, -(-n // workers))
+    starts = range(0, n, size)
+    workers = min(workers, len(starts))
+    outs = [None] * len(starts)
+    errors = []
+
+    def run_share(first):
+        try:
+            for k in range(first, len(starts), workers):
+                if errors:
+                    return
+                outs[k] = network.forward(x[starts[k] : starts[k] + size], mode="infer").final
+        except BaseException as exc:  # re-raised by the calling thread
+            errors.append(exc)
+
+    helpers = []
+    try:
+        for first in range(1, workers):
+            helper = threading.Thread(target=run_share, args=(first,))
+            helper.start()
+            helpers.append(helper)
+        run_share(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
+    return np.concatenate(outs, axis=0)
 
 
 def refresh_batchnorm_stats(network, x, passes, batch_size=None):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpwave import datapipe, evalstats, models, pipeline, tensorops
+from bpwave import datapipe, evalstats, models, pipeline, tensorops, trainer
 from bpwave.models import NetworkOutput
 from bpwave.pipeline import (
     PipelineBundle,
@@ -30,6 +30,8 @@ from bpwave.pipeline import (
 @dataclass
 class _StubConfig:
     input_length: int = 1024
+    # desk-like: trainer.predict_batched runs serial stacks of PREDICT_STACK
+    first_level_channels: int = 1
 
 
 class IdentityNetwork:
@@ -71,10 +73,10 @@ def stub_bundle(length=1024, approx=None):
     )
 
 
-def tiny_bundle(seed=0):
-    approx = models.build_unet1d(models.UNet1DConfig.scaled(1 / 16, input_length=1024), seed=seed)
+def tiny_bundle(seed=0, width=1 / 16):
+    approx = models.build_unet1d(models.UNet1DConfig.scaled(width, input_length=1024), seed=seed)
     refine = models.build_multiresunet1d(
-        models.MultiResUNet1DConfig.scaled(1 / 16, input_length=1024), seed=seed
+        models.MultiResUNet1DConfig.scaled(width, input_length=1024), seed=seed
     )
     approx.set_calibration(output_scale=25.0, output_offset=95.0)
     refine.set_calibration(
@@ -291,6 +293,87 @@ def test_batch_predict_multi_stack_isolates_failures():
         single = predict_waveform(real, store[row.index].ppg)
         np.testing.assert_array_equal(row.pred_abp, single)
         assert row.waveform_mae == waveform_mae(single, store[row.index].abp)
+
+
+# --------------------------------------------- batch predict on helper threads
+
+class Wide:
+    """Test double: forwards to another double, under a config of paper
+    first-level width, so every episode is its own stack and a helper thread
+    runs every other one; records, per marked stack, whether a helper ran it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.config = _StubConfig(first_level_channels=64)
+        self.marked_on_helper = []
+
+    def forward(self, x, mode="infer"):
+        if marked(x).any():
+            self.marked_on_helper.append(threading.current_thread() is not threading.main_thread())
+        return self.inner.forward(x, mode)
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    monkeypatch.setattr(trainer, "usable_cores", lambda: 2)
+
+
+def test_threaded_batch_predict_skips_failures(two_cores):
+    store = datapipe.synth_generate(3, seed=7)
+    store.records[1].ppg[0] = 1e6
+    approx = Wide(NaNRowNetwork())
+    bundle = stub_bundle(approx=approx)
+    alive = threading.active_count()
+    rows, failures = batch_predict(bundle, store)
+    assert approx.marked_on_helper == [True] and threading.active_count() == alive
+    with pytest.raises(tensorops.NumericalError) as exc:
+        predict_waveform(bundle, store[1].ppg)
+    assert failures == [(1, str(exc.value))] and "non-finite" in failures[0][1]
+    assert [r.index for r in rows] == [0, 2]
+    for row in rows:
+        np.testing.assert_array_equal(row.pred_abp, predict_waveform(bundle, store[row.index].ppg))
+
+
+def test_threaded_batch_predict_propagates_a_network_exception(two_cores):
+    store = datapipe.synth_generate(3, seed=7)
+    store.records[1].ppg[0] = 1e6
+    approx = Wide(ExplodingNetwork())
+    alive = threading.active_count()
+    with pytest.raises(ValueError, match="^marker episode$"):
+        batch_predict(stub_bundle(approx=approx), store)
+    assert approx.marked_on_helper == [True] and threading.active_count() == alive
+
+
+def test_threaded_batch_predict_rows_equal_serial(monkeypatch):
+    bundle = tiny_bundle(seed=16, width=1 / 8)
+    store = datapipe.synth_generate(7, seed=17)
+    results = {}
+    for count in (1, 2):
+        monkeypatch.setattr(trainer, "usable_cores", lambda: count)
+        results[count] = batch_predict(bundle, store)
+    (serial, serial_failures), (threaded, failures) = results[1], results[2]
+    assert serial_failures == failures == []
+    assert [r.index for r in threaded] == [r.index for r in serial] == list(range(7))
+    for row, want in zip(threaded, serial):
+        assert row.pred_abp.tobytes() == want.pred_abp.tobytes()
+        assert row.pred_bp == want.pred_bp and row.waveform_mae == want.waveform_mae
+        assert row.pred_abp.tobytes() == predict_waveform(bundle, store[row.index].ppg).tobytes()
+
+
+class NoThread:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a thread was started")
+
+
+def test_threaded_path_skipped_at_desk_width_and_for_one_episode(two_cores, monkeypatch):
+    desk = tiny_bundle(seed=18)
+    eighth = tiny_bundle(seed=18, width=1 / 8)
+    store = datapipe.synth_generate(6, seed=19)
+    monkeypatch.setattr(threading, "Thread", NoThread)
+    rows, failures = batch_predict(desk, store)
+    assert failures == [] and len(rows) == 6
+    assert np.all(np.isfinite(predict_waveform(eighth, store[0].ppg)))
+    predict_waveform(stub_bundle(approx=Wide(IdentityNetwork())), store[0].ppg)
 
 
 # ------------------------------------------------------------------- bundles

@@ -1,4 +1,6 @@
 import hashlib
+import sys
+import threading
 import weakref
 from dataclasses import replace
 
@@ -218,6 +220,123 @@ def test_validation_tracked_and_best_restored(small_store):
     x_val, y_val = episodes_to_arrays(val_store)
     loss_now = mae_loss(trainer.predict_batched(net, x_val), y_val)[0]
     assert abs(loss_now - result.best_score) < 1e-12
+
+
+# ---------------------------------------------------------- stacked inference
+
+class StackRecorder:
+    """Test double: forwards its input (or a wrapped network's output) and
+    records each infer-mode stack's size and whether a helper thread ran it."""
+
+    def __init__(self, config, inner=None):
+        self.config = config
+        self.inner = inner
+        self.stacks = []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def forward(self, x, mode="infer"):
+        if mode == "infer":
+            self.stacks.append((x.shape[0], threading.current_thread() is not threading.main_thread()))
+        if self.inner is None:
+            return NetworkOutput(final=x.copy())
+        return self.inner.forward(x, mode=mode)
+
+
+def cores(monkeypatch, count):
+    monkeypatch.setattr(trainer, "usable_cores", lambda: count)
+
+
+@pytest.mark.parametrize("config", [UNet1DConfig, MultiResUNet1DConfig])
+@pytest.mark.parametrize(
+    "width, size, threaded",
+    [(1 / 16, 4, False), (1 / 8, 4, True), (1 / 4, 2, True), (1 / 2, 1, True), (1.0, 1, True)],
+)
+@pytest.mark.parametrize("core_count", [1, 2])
+def test_threaded_stacking_follows_the_first_level_width(monkeypatch, config, width, size, threaded, core_count):
+    """A stack holds the fewest episodes whose first-level activations reach
+    2^15 values, at most 4; only such stacks go to helper threads."""
+    cores(monkeypatch, core_count)
+    net = StackRecorder(config.scaled(width))
+    x = np.random.default_rng(0).normal(size=(8, 1, LENGTH))
+    out = trainer.predict_batched(net, x)
+    assert out.tobytes() == x.tobytes()
+    assert sorted(s for s, _ in net.stacks) == [size] * (8 // size)
+    assert any(helper for _, helper in net.stacks) == (threaded and core_count > 1)
+
+
+def test_threaded_stacks_hold_at_most_ceil_n_over_cores(monkeypatch):
+    cores(monkeypatch, 2)
+    net = StackRecorder(UNet1DConfig.scaled(1 / 8))
+    trainer.predict_batched(net, np.zeros((5, 1, LENGTH)))
+    assert sorted(net.stacks) == [(2, True), (3, False)]
+    net.stacks.clear()
+    trainer.predict_batched(net, np.zeros((1, 1, LENGTH)))
+    assert net.stacks == [(1, False)]
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_threaded_predict_batched_rows_equal_serial(monkeypatch, n):
+    x = np.random.default_rng(n).normal(size=(n, 1, LENGTH))
+    approx = models.build_unet1d(UNet1DConfig.scaled(1 / 8), seed=n)
+    refine = models.build_multiresunet1d(MultiResUNet1DConfig.scaled(1 / 8), seed=n)
+    outs = {}
+    for core_count in (1, 2):
+        cores(monkeypatch, core_count)
+        alive = threading.active_count()
+        rough = trainer.predict_batched(approx, x)
+        outs[core_count] = (rough, trainer.predict_batched(refine, rough))
+        assert threading.active_count() == alive
+    for serial, threaded in zip(outs[1], outs[2]):
+        assert threaded.tobytes() == serial.tobytes()
+    for i in range(n):
+        assert outs[2][0][i].tobytes() == approx.forward(x[i : i + 1], mode="infer").final[0].tobytes()
+
+
+def test_threaded_predict_batched_keeps_every_row_under_fast_switching(monkeypatch):
+    """More threads than cores, switching every 10 us: no stack's output is
+    lost or misplaced."""
+    cores(monkeypatch, 4)
+    net = StackRecorder(UNet1DConfig.scaled(1.0))
+    x = np.random.default_rng(1).normal(size=(64, 1, LENGTH))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(20):
+            assert trainer.predict_batched(net, x).tobytes() == x.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(net.stacks) == 64 * 20 and any(helper for _, helper in net.stacks)
+
+
+class FailingHelper(StackRecorder):
+    def forward(self, x, mode="infer"):
+        if threading.current_thread() is not threading.main_thread():
+            raise NumericalError("helper stack failed")
+        return super().forward(x, mode)
+
+
+def test_threaded_predict_batched_reraises_a_helper_exception_and_joins(monkeypatch):
+    cores(monkeypatch, 2)
+    alive = threading.active_count()
+    net = FailingHelper(UNet1DConfig.scaled(1.0))
+    with pytest.raises(NumericalError, match="^helper stack failed$"):
+        trainer.predict_batched(net, np.zeros((4, 1, LENGTH)))
+    assert threading.active_count() == alive
+
+
+def test_validation_passes_run_in_stacks_of_at_most_four(small_store):
+    train_store = small_store.subset(range(6))
+    val_store = pipeline.preprocess_store(datapipe.synth_generate(10, seed=14))
+    inner = tiny_unet(seed=2)
+    net = StackRecorder(inner.config, inner)
+    approx = StackRecorder(UNet1DConfig.scaled(1.0))
+    config = TrainConfig(epochs=2, batch_size=4, seed=2)
+    train_network(net, train_store, val_store, config, which="approx")
+    assert [s for s, _ in net.stacks] == [4, 4, 2] * 2
+    train_network(tiny_multires(seed=2), train_store, val_store, config, which="refine", approx_network=approx)
+    assert max(s for s, _ in approx.stacks) == 1 and len(approx.stacks) == 16
 
 
 def test_bn_refresh_moves_only_running_statistics(small_store):
