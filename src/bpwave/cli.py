@@ -156,11 +156,26 @@ def _load_store(path):
     return datapipe.read_store(path)
 
 
+def parse_config_file(path):
+    """key = value lines mirroring TrainConfig fields; # starts a comment."""
+    values = {}
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            values[key] = value
+    return values
+
+
 def _train_settings(args):
     """defaults <- config file <- explicit flags (flag dests are the keys)."""
     settings = dict(SETTING_DEFAULTS)
     if args.config:
-        for key, raw in trainer.parse_config_file(args.config).items():
+        for key, raw in parse_config_file(args.config).items():
             if key not in settings:
                 raise ValueError(f"unknown config key '{key}'")
             settings[key] = type(settings[key])(raw)

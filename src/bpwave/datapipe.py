@@ -23,6 +23,8 @@ EPISODE_SAMPLES = 1024
 STORE_FS = 125.0
 ABP_SANITY_MMHG = (20.0, 300.0)
 BIN_WIDTH_MMHG = 10.0
+# consecutive synth_generate episodes that share one subject id
+SYNTH_EPISODES_PER_SUBJECT = 8
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,7 @@ class EpisodeStore:
         )
 
 
-def segment_episodes(ppg, abp, subject_id, window=EPISODE_SAMPLES):
+def segment_episodes(ppg, abp, subject_id):
     """Cut aligned signals into consecutive non-overlapping episodes.
 
     The trailing remainder is discarded; windows violating the ABP sanity
@@ -118,8 +120,9 @@ def segment_episodes(ppg, abp, subject_id, window=EPISODE_SAMPLES):
         raise ValueError(f"ppg and abp must be aligned 1-D signals, got {ppg.shape} vs {abp.shape}")
     records = []
     dropped = 0
-    for start in range(0, ppg.size - window + 1, window):
-        rec = EpisodeRecord(ppg[start : start + window], abp[start : start + window], subject_id)
+    for start in range(0, ppg.size - EPISODE_SAMPLES + 1, EPISODE_SAMPLES):
+        end = start + EPISODE_SAMPLES
+        rec = EpisodeRecord(ppg[start:end], abp[start:end], subject_id)
         try:
             rec.validate()
         except ValueError:
@@ -129,9 +132,9 @@ def segment_episodes(ppg, abp, subject_id, window=EPISODE_SAMPLES):
     return records, dropped
 
 
-def bin_key(sbp, dbp, width=BIN_WIDTH_MMHG):
+def bin_key(sbp, dbp):
     """2D grid index over (SBP, DBP) with 10 mmHg bins."""
-    return int(math.floor(sbp / width)), int(math.floor(dbp / width))
+    return int(math.floor(sbp / BIN_WIDTH_MMHG)), int(math.floor(dbp / BIN_WIDTH_MMHG))
 
 
 def bin_and_subsample(store, fraction=0.25, cap=2500, seed=0):
@@ -153,6 +156,8 @@ def bin_and_subsample(store, fraction=0.25, cap=2500, seed=0):
 def split_train_test(store, train_count, seed=0):
     """Disjoint uniform split whose union is the input store."""
     n = len(store)
+    if train_count < 0:
+        raise ValueError(f"train_count must be >= 0, got {train_count}")
     if train_count > n:
         raise ValueError(f"cannot take {train_count} training episodes from {n}")
     perm = np.random.default_rng(seed).permutation(n)
@@ -315,7 +320,7 @@ def _pulse_shape(phase, sys_center, sys_width, dicrotic_center, dicrotic_height)
     return value
 
 
-def synth_generate(n, seed=0, episodes_per_subject=8):
+def synth_generate(n, seed=0):
     """Paired pseudo-physiological PPG/ABP episodes for desk-scale work.
 
     Heart rate is drawn from 50-120 bpm, SBP from [80, 180], DBP from
@@ -343,7 +348,7 @@ def synth_generate(n, seed=0, episodes_per_subject=8):
         ppg_shape = _pulse_shape(ppg_beat, 0.24, 0.11, 0.58, 0.30)
         ppg = ppg_shape / ppg_shape.max() + 0.02 * rng.normal(size=EPISODE_SAMPLES)
 
-        records.append(EpisodeRecord(ppg, abp, f"synth-{i // episodes_per_subject:05d}"))
+        records.append(EpisodeRecord(ppg, abp, f"synth-{i // SYNTH_EPISODES_PER_SUBJECT:05d}"))
     return EpisodeStore(records).validate()
 
 

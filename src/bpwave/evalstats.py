@@ -286,6 +286,8 @@ def sqi_error_analysis(table, bin_edges=None, bins=10):
 
     Empty buckets are absent from the result rather than reported as zero.
     """
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
     sqis = table["sqi"]
     if sqis.size == 0:
         return []

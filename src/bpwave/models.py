@@ -80,6 +80,7 @@ class MultiResUNet1DConfig:
     input_length: int = 1024
 
     alpha = 2.5
+    deep_supervision_weights = (1.0,)  # of the one output: no auxiliary heads
 
     @classmethod
     def scaled(cls, width=1.0, input_length=1024):

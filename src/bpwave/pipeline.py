@@ -3,7 +3,7 @@
 import csv
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -51,26 +51,26 @@ class PipelineBundle:
         return self.approx_network.config.input_length
 
 
+# one row per stage: its meta.json section (and PipelineBundle attribute
+# prefix), checkpoint file, config class and models builder, the last looked
+# up at call time so a wrapped or patched builder is the one called
+_STAGES = (
+    ("approx", BUNDLE_APPROX, models.UNet1DConfig, "build_unet1d"),
+    ("refine", BUNDLE_REFINE, models.MultiResUNet1DConfig, "build_multiresunet1d"),
+)
+
+
 def save_bundle(bundle, directory):
+    """meta.json holds each network's config, field by field, beside its checkpoint."""
     os.makedirs(directory, exist_ok=True)
-    meta = {
-        "format_version": BUNDLE_VERSION,
-        "fs": datapipe.STORE_FS,
-        "preprocess": bundle.preprocess,
-        "approx": {
-            "filters_per_level": list(bundle.approx_network.config.filters_per_level),
-            "input_length": bundle.approx_network.config.input_length,
-        },
-        "refine": {
-            "base_widths": list(bundle.refine_network.config.base_widths),
-            "input_length": bundle.refine_network.config.input_length,
-        },
-    }
+    meta = {"format_version": BUNDLE_VERSION, "fs": datapipe.STORE_FS, "preprocess": bundle.preprocess}
+    for stage, checkpoint, *_ in _STAGES:
+        network = getattr(bundle, f"{stage}_network")
+        meta[stage] = asdict(network.config)
+        trainer.save_checkpoint(network, os.path.join(directory, checkpoint))
     with open(os.path.join(directory, BUNDLE_META), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    trainer.save_checkpoint(bundle.approx_network, os.path.join(directory, BUNDLE_APPROX))
-    trainer.save_checkpoint(bundle.refine_network, os.path.join(directory, BUNDLE_REFINE))
 
 
 def _is_positive_int(value):
@@ -78,7 +78,9 @@ def _is_positive_int(value):
 
 
 def _read_meta(directory):
-    """meta.json, with every key load_bundle reads checked for presence and type."""
+    """meta.json, with every config field of every stage checked for presence
+    and type: a tuple field is a non-empty list of positive integers, an int
+    field a positive integer."""
     with open(os.path.join(directory, BUNDLE_META)) as fh:
         meta = json.load(fh)
     if not isinstance(meta, dict):
@@ -89,15 +91,16 @@ def _read_meta(directory):
         raise ValueError(f"{BUNDLE_META}: sampling rate must be {datapipe.STORE_FS} Hz, got {meta.get('fs')!r}")
     if not isinstance(meta.get("preprocess", True), bool):
         raise ValueError(f"{BUNDLE_META}: 'preprocess' must be true or false")
-    for stage, widths in (("approx", "filters_per_level"), ("refine", "base_widths")):
+    for stage, _, config_class, _ in _STAGES:
         part = meta.get(stage)
         if not isinstance(part, dict):
             raise ValueError(f"{BUNDLE_META}: '{stage}' must be an object")
-        values = part.get(widths)
-        if not isinstance(values, list) or not values or not all(map(_is_positive_int, values)):
-            raise ValueError(f"{BUNDLE_META}: '{stage}.{widths}' must be a non-empty list of positive integers")
-        if not _is_positive_int(part.get("input_length")):
-            raise ValueError(f"{BUNDLE_META}: '{stage}.input_length' must be a positive integer")
+        for f in fields(config_class):
+            value = part.get(f.name)
+            if f.type is tuple and not (isinstance(value, list) and value and all(map(_is_positive_int, value))):
+                raise ValueError(f"{BUNDLE_META}: '{stage}.{f.name}' must be a non-empty list of positive integers")
+            if f.type is int and not _is_positive_int(value):
+                raise ValueError(f"{BUNDLE_META}: '{stage}.{f.name}' must be a positive integer")
     approx_length, refine_length = meta["approx"]["input_length"], meta["refine"]["input_length"]
     if approx_length != refine_length:
         raise ValueError(f"{BUNDLE_META}: 'approx.input_length' {approx_length} and "
@@ -106,31 +109,27 @@ def _read_meta(directory):
 
 
 def load_bundle(directory):
-    """Build both networks without drawing any weights, then fill them from
-    their checkpoints: each weight is written once, by the file read, into
-    the array the layer keeps."""
+    """Read both checkpoints, then build both networks without drawing any
+    weights and fill them: each weight is written once, by the file read,
+    into the array the layer keeps. Each width meta.json declares (an entry
+    of a tuple field) is some checkpoint entry's length in a valid bundle,
+    so a wider one fails here, before it sizes any array."""
     meta = _read_meta(directory)
-    approx = models.build_unet1d(
-        models.UNet1DConfig(
-            filters_per_level=tuple(meta["approx"]["filters_per_level"]),
-            input_length=meta["approx"]["input_length"],
-        ),
-        seed=None,
-    )
-    refine = models.build_multiresunet1d(
-        models.MultiResUNet1DConfig(
-            base_widths=tuple(meta["refine"]["base_widths"]),
-            input_length=meta["refine"]["input_length"],
-        ),
-        seed=None,
-    )
-    trainer.load_checkpoint(approx, os.path.join(directory, BUNDLE_APPROX))
-    trainer.load_checkpoint(refine, os.path.join(directory, BUNDLE_REFINE))
-    return PipelineBundle(
-        approx_network=approx,
-        refine_network=refine,
-        preprocess=meta.get("preprocess", True),
-    )
+    entries = {stage: tensorops.read_checkpoint(os.path.join(directory, checkpoint))
+               for stage, checkpoint, *_ in _STAGES}
+    for stage, checkpoint, config_class, _ in _STAGES:
+        widest = max((max(arr.shape, default=0) for _, arr in entries[stage]), default=0)
+        for f in fields(config_class):
+            declared = max(meta[stage][f.name]) if f.type is tuple else 0
+            if declared > widest:
+                raise ValueError(f"{BUNDLE_META}: '{stage}.{f.name}' declares width {declared}, "
+                                 f"but no entry of {checkpoint} is longer than {widest}")
+    networks = {}
+    for stage, _, config_class, builder in _STAGES:
+        config = config_class(**{f.name: f.type(meta[stage][f.name]) for f in fields(config_class)})
+        network = networks[f"{stage}_network"] = getattr(models, builder)(config, seed=None)
+        network.load_state(entries.pop(stage))
+    return PipelineBundle(**networks, preprocess=meta.get("preprocess", True))
 
 
 _EPISODE_ERRORS = (ValueError, tensorops.ShapeError, tensorops.NumericalError)

@@ -57,7 +57,8 @@ class WaveletFilterBank:
     dec_lowpass: np.ndarray
     dec_highpass: np.ndarray
 
-    def validate(self, tol=1e-12):
+    def validate(self):
+        tol = 1e-12
         h = self.dec_lowpass
         g = self.dec_highpass
         n = h.size
@@ -151,55 +152,55 @@ def _filter_positions(n, taps):
     return idx
 
 
-def _analysis_step(x, bank):
+def _analysis_step(x):
     """One level over a (B, n) stack: (B, n/2) approximation and detail rows."""
-    idx = _filter_positions(x.shape[1], bank.dec_lowpass.size)
+    idx = _filter_positions(x.shape[1], DB8.dec_lowpass.size)
     # C order, as one window's gather is: a strided window's product sums
     # in another order
     windows = np.take(x, idx, axis=1)
-    return _filter_rows(windows, bank.dec_lowpass), _filter_rows(windows, bank.dec_highpass)
+    return _filter_rows(windows, DB8.dec_lowpass), _filter_rows(windows, DB8.dec_highpass)
 
 
-def _synthesis_step(approx, detail, bank):
+def _synthesis_step(approx, detail):
     """Invert one level over (B, n/2) stacks. One bincount covers the stack;
     each row's bins are offset by n, so every bin sums its terms in the same
     order as for that row alone."""
     rows, half = approx.shape
     n = 2 * half
-    idx = _filter_positions(n, bank.dec_lowpass.size)
+    idx = _filter_positions(n, DB8.dec_lowpass.size)
     bins = idx if rows == 1 else idx + n * np.arange(rows)[:, None, None]
-    vals = approx[:, :, None] * bank.dec_lowpass
-    vals += detail[:, :, None] * bank.dec_highpass
+    vals = approx[:, :, None] * DB8.dec_lowpass
+    vals += detail[:, :, None] * DB8.dec_highpass
     return np.bincount(bins.ravel(), weights=vals.ravel(), minlength=rows * n).reshape(rows, n)
 
 
-def _decompose_rows(x, levels, bank):
+def _decompose_rows(x, levels):
     """Pyramid of a (B, n) stack; every band is a (B, m) stack of rows."""
     details = []
     approx = x
     for _ in range(levels):
-        approx, detail = _analysis_step(approx, bank)
+        approx, detail = _analysis_step(approx)
         details.append(detail)
     return WaveletDecomposition(approx=approx, details=details)
 
 
-def _reconstruct_rows(decomp, bank):
+def _reconstruct_rows(decomp):
     x = decomp.approx
     for detail in reversed(decomp.details):
-        x = _synthesis_step(x, detail, bank)
+        x = _synthesis_step(x, detail)
     return x
 
 
-def dwt_decompose(signal, levels=DENOISE_LEVELS, bank=DB8):
+def dwt_decompose(signal, levels=DENOISE_LEVELS):
     """Decompose a dyadic-length signal into a periodized coefficient pyramid."""
     x = _as_signal(signal)
     levels = int(levels)
     _check_dyadic(x.size, levels)
-    stacked = _decompose_rows(x[None], levels, bank)
+    stacked = _decompose_rows(x[None], levels)
     return WaveletDecomposition(approx=stacked.approx[0], details=[d[0] for d in stacked.details])
 
 
-def dwt_reconstruct(decomp, bank=DB8):
+def dwt_reconstruct(decomp):
     """Invert dwt_decompose; band lengths must form a consistent pyramid."""
     approx = np.asarray(decomp.approx, dtype=np.float64)
     details = [np.asarray(d, dtype=np.float64) for d in decomp.details]
@@ -212,7 +213,7 @@ def dwt_reconstruct(decomp, bank=DB8):
             )
         size *= 2
     stacked = WaveletDecomposition(approx=approx[None], details=[d[None] for d in details])
-    return _reconstruct_rows(stacked, bank)[0]
+    return _reconstruct_rows(stacked)[0]
 
 
 def zero_extreme_bands(decomp):
@@ -262,18 +263,18 @@ def sure_threshold(coeffs):
     return float(_sure_thresholds(c.reshape(1, -1))[0])
 
 
-def _denoise_rows(x, levels, bank):
-    decomp = zero_extreme_bands(_decompose_rows(x, levels, bank))
+def _denoise_rows(x, levels):
+    decomp = zero_extreme_bands(_decompose_rows(x, levels))
     for d in decomp.details[1:]:
         sigma = np.median(np.abs(d), axis=-1) / MAD_SCALE
         live = sigma > 0.0  # a row with no noise estimate keeps this level as is
         band, scale = d[live], sigma[live, None]
         t = _sure_thresholds(band / scale)
         d[live] = soft_threshold(band, t[:, None] * scale)
-    return _reconstruct_rows(decomp, bank)
+    return _reconstruct_rows(decomp)
 
 
-def denoise(signal, levels=DENOISE_LEVELS, bank=DB8):
+def denoise(signal, levels=DENOISE_LEVELS):
     """Wavelet-denoise one 1024-sample window, or each row of a (B, L) stack.
 
     Decomposes, kills the extreme bands, then soft-thresholds each retained
@@ -287,7 +288,7 @@ def denoise(signal, levels=DENOISE_LEVELS, bank=DB8):
     out = np.empty_like(rows)
     for start in range(0, len(rows), _DENOISE_STACK):
         part = slice(start, start + _DENOISE_STACK)
-        out[part] = _denoise_rows(rows[part], levels, bank)
+        out[part] = _denoise_rows(rows[part], levels)
     return out.reshape(x.shape)
 
 

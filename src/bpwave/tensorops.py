@@ -192,7 +192,7 @@ class TransposedConv1d(_StatefulLayer):
 
     params = ("weight", "bias")
 
-    def __init__(self, name, in_channels, out_channels, kernel_size, rng, init="relu"):
+    def __init__(self, name, in_channels, out_channels, kernel_size, rng):
         if kernel_size != 2:
             raise ValueError(f"kernel_size must be 2 for a stride-2 upsampling, got {kernel_size}")
         self.name = name
@@ -200,7 +200,7 @@ class TransposedConv1d(_StatefulLayer):
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         # each output sample sees one tap of each input channel: fan-in C
-        self.weight = _he_weight(rng, (out_channels, in_channels, 2), in_channels, init)
+        self.weight = _he_weight(rng, (out_channels, in_channels, 2), in_channels, "relu")
         self.bias = np.zeros(out_channels)
         self._x = None
 

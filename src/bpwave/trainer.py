@@ -174,7 +174,7 @@ def predict_batched(network, x):
     return np.concatenate(outs, axis=0)
 
 
-def refresh_batchnorm_stats(network, x, passes, batch_size=None):
+def refresh_batchnorm_stats(network, x, passes, batch_size):
     """Converge the running statistics with plain train-mode forwards.
 
     The momentum update leaves a geometric residue of the initial (0, 1)
@@ -182,7 +182,7 @@ def refresh_batchnorm_stats(network, x, passes, batch_size=None):
     without touching any learned parameter.
     """
     n = x.shape[0]
-    size = min(batch_size or n, n)
+    size = min(batch_size, n)
     for _ in range(passes):
         for start in range(0, n, size):
             xb = x[start : start + size]
@@ -207,9 +207,10 @@ def train_network(network, train_store, val_store, config, which="approx", appro
     which="approx": inputs are the stored (preprocessed) PPG windows and the
     loss is deeply supervised MAE. which="refine": inputs are frozen infer-mode
     predictions of approx_network on the stored PPG, plain MSE on the final
-    output (the same loss call with the single weight 1.0). The best-scoring
-    weights (validation loss, or training loss when no validation store is
-    given) are restored into the network afterwards.
+    output. Both losses weigh the outputs by the network config's
+    deep_supervision_weights. The best-scoring weights (validation loss, or
+    training loss when no validation store is given) are restored into the
+    network afterwards.
     """
     config.validate()
     if which not in ("approx", "refine"):
@@ -219,16 +220,15 @@ def train_network(network, train_store, val_store, config, which="approx", appro
 
     x_train, y_train = episodes_to_arrays(train_store)
     x_val, y_val = episodes_to_arrays(val_store) if val_store is not None and len(val_store) else (None, None)
+    weights = network.config.deep_supervision_weights
     if which == "approx":
         base_loss = mae_loss
-        weights = network.config.deep_supervision_weights
         calibrate_network(network, y_train)
     else:
         x_train = predict_batched(approx_network, x_train)
         if x_val is not None:
             x_val = predict_batched(approx_network, x_val)
         base_loss = mse_loss
-        weights = (1.0,)
         calibrate_network(network, y_train, inputs=x_train)
 
     n = x_train.shape[0]
@@ -316,17 +316,11 @@ def read_history_csv(path):
 
 # ------------------------------------------------------------ cross-validation
 
-@dataclass
-class FoldPlan:
-    folds: list  # (train_indices, val_indices) pairs
-
-    @property
-    def k(self):
-        return len(self.folds)
-
-
 def kfold_plan(n, k=10, seed=0):
-    """Disjoint, exhaustive folds whose sizes differ by at most one."""
+    """(train_indices, val_indices) per fold: disjoint, exhaustive folds
+    whose sizes differ by at most one."""
+    if k < 2:
+        raise ValueError(f"k must be >= 2 folds, got {k}")
     if n < k:
         raise ValueError(f"cannot split {n} items into {k} folds")
     order = np.random.default_rng(seed).permutation(n)
@@ -340,7 +334,7 @@ def kfold_plan(n, k=10, seed=0):
         train = np.sort(np.concatenate([order[:start], order[start + size :]]))
         folds.append((train, val))
         start += size
-    return FoldPlan(folds=folds)
+    return folds
 
 
 @dataclass
@@ -364,11 +358,10 @@ def cross_validate(store, config, k=10, which="approx", width=1.0, input_length=
     """
     if which not in ("approx", "both"):
         raise ValueError("which must be 'approx' or 'both'")
-    plan = kfold_plan(len(store), k=k, seed=config.seed)
     histories = []
     scores = []
     selected = chosen = None
-    for fold, (train_idx, val_idx) in enumerate(plan.folds):
+    for fold, (train_idx, val_idx) in enumerate(kfold_plan(len(store), k=k, seed=config.seed)):
         fold_config = replace(config, seed=config.seed + 1 + fold)
         stages = list(train_cascade(store.subset(train_idx), store.subset(val_idx), fold_config,
                                     width, input_length, refine=which == "both"))
@@ -401,7 +394,7 @@ def load_checkpoint(network, path):
 
 # ------------------------------------------------------------- gradient report
 
-def network_gradient_report(width=1 / 16, input_length=64, seed=0, per_block=32, h=1e-3, tolerance=1e-3):
+def network_gradient_report(width=1 / 16, input_length=64, seed=0, per_block=32, tolerance=1e-3):
     """Finite-difference reports for both networks at a desk-scale width.
 
     Uses a smooth (MSE-based) objective against random targets so every
@@ -416,10 +409,8 @@ def network_gradient_report(width=1 / 16, input_length=64, seed=0, per_block=32,
         models.MultiResUNet1DConfig.scaled(width, input_length=input_length), seed=seed
     )
     reports = {}
-    for name, network, weights in (
-        ("approximation", approx, approx.config.deep_supervision_weights),
-        ("refinement", refine, (1.0,)),
-    ):
+    for name, network in (("approximation", approx), ("refinement", refine)):
+        weights = network.config.deep_supervision_weights
         targets = [rng.normal(size=(2, 1, input_length >> k)) for k in range(len(weights))]
 
         def objective():
@@ -431,25 +422,8 @@ def network_gradient_report(width=1 / 16, input_length=64, seed=0, per_block=32,
         grads = objective()[1]
         grad_in = network.backward(grads[0], grads[1:])
         reports[name] = tensorops.gradcheck(
-            lambda: objective()[0], network.param_blocks() + [("input", x, grad_in)], h=h,
+            lambda: objective()[0], network.param_blocks() + [("input", x, grad_in)],
             max_entries_per_block=per_block, rng=np.random.default_rng(seed), refine_tol=tolerance,
         )
         network.zero_grads()
     return reports
-
-
-# ------------------------------------------------------------------ config file
-
-def parse_config_file(path):
-    """key = value lines mirroring TrainConfig fields; # starts a comment."""
-    values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            values[key] = value
-    return values

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import bpwave
-from bpwave import datapipe, evalstats, trainer
+from bpwave import datapipe, evalstats, models, pipeline, trainer
 from bpwave.cli import _build_parser, _train_settings, main
 from bpwave.tensorops import AdamConfig
 
@@ -77,27 +77,57 @@ def test_corrupt_store_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def _meta_without_refine(meta):
-    del meta["refine"]
-    return meta
+def _malformed(path, value):
+    """A malform that sets (or, for value None, deletes) the meta.json key at path."""
+
+    def malform(meta):
+        *parents, key = path
+        part = meta
+        for name in parents:
+            part = part[name]
+        if value is None:
+            del part[key]
+        else:
+            part[key] = value
+        return meta
+
+    return malform
 
 
-def _meta_with_string_length(meta):
-    meta["approx"]["input_length"] = "1024"
-    return meta
-
-
-def _meta_at_250_hz(meta):
-    meta["fs"] = 250.0
-    return meta
+def _malformed_field(stage, field, value):
+    kind = "a non-empty list of positive integers" if field != "input_length" else "a positive integer"
+    return _malformed((stage, field), value), f"meta.json: '{stage}.{field}' must be {kind}"
 
 
 @pytest.mark.parametrize(
-    "malform",
-    [_meta_without_refine, lambda meta: [meta], _meta_with_string_length, _meta_at_250_hz],
-    ids=["missing-refine", "top-level-list", "string-input-length", "fs-250"],
+    "malform, message",
+    [
+        (_malformed(("refine",), None), "meta.json: 'refine' must be an object"),
+        (lambda meta: [meta], "meta.json must hold a JSON object, got list"),
+        _malformed_field("approx", "input_length", "1024"),
+        (_malformed(("fs",), 250.0), "meta.json: sampling rate must be 125.0 Hz, got 250.0"),
+        (_malformed(("approx",), 3), "meta.json: 'approx' must be an object"),
+        _malformed_field("approx", "filters_per_level", None),
+        _malformed_field("approx", "filters_per_level", []),
+        _malformed_field("approx", "filters_per_level", [4, 8, 0, 32, 64]),
+        _malformed_field("approx", "filters_per_level", [4, 8, True, 32, 64]),
+        _malformed_field("approx", "input_length", None),
+        _malformed_field("approx", "input_length", 0),
+        _malformed_field("refine", "base_widths", None),
+        _malformed_field("refine", "base_widths", "2, 4"),
+        _malformed_field("refine", "base_widths", [2, 4.0, 8, 16, 32]),
+        _malformed_field("refine", "input_length", None),
+        _malformed_field("refine", "input_length", -1024),
+        _malformed_field("refine", "input_length", 1024.0),
+    ],
+    ids=[
+        "missing-refine", "top-level-list", "string-input-length", "fs-250", "approx-not-object",
+        "missing-filters", "empty-filters", "zero-filter", "bool-filter", "missing-approx-length",
+        "zero-approx-length", "missing-base-widths", "string-base-widths", "float-base-width",
+        "missing-refine-length", "negative-refine-length", "float-refine-length",
+    ],
 )
-def test_infer_with_malformed_bundle_meta_exits_2(tmp_path, synth_store, capsys, malform):
+def test_infer_with_malformed_bundle_meta_exits_2(tmp_path, synth_store, capsys, malform, message):
     meta = {
         "format_version": 1,
         "fs": 125.0,
@@ -108,7 +138,27 @@ def test_infer_with_malformed_bundle_meta_exits_2(tmp_path, synth_store, capsys,
     (tmp_path / "meta.json").write_text(json.dumps(malform(meta)))
     argv = ("infer", "--bundle", str(tmp_path), "--data", str(synth_store), "--out", str(tmp_path / "p.csv"))
     assert run(*argv) == 2
-    assert "meta.json" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_infer_rejects_a_declared_width_before_allocating_it(tmp_path, synth_store, capsys):
+    """A width of 2^40 channels would ask for terabytes: it fails as a data
+    error naming meta.json, before any network is built."""
+    pipeline.save_bundle(
+        pipeline.PipelineBundle(
+            models.build_unet1d(models.UNet1DConfig.scaled(1 / 16), seed=1),
+            models.build_multiresunet1d(models.MultiResUNet1DConfig.scaled(1 / 16), seed=1),
+        ),
+        tmp_path,
+    )
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    meta["approx"]["filters_per_level"][0] = 1 << 40
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    argv = ("infer", "--bundle", str(tmp_path), "--data", str(synth_store), "--out", str(tmp_path / "p.csv"))
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert "meta.json" in err and "'approx.filters_per_level'" in err
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_preprocess_and_split(synth_store, tmp_path):
@@ -371,3 +421,32 @@ def test_evaluate_parses_predictions_once(tmp_path, monkeypatch):
     assert code == 0
     assert parsed == [str(preds)]
     assert (tmp_path / "figures" / "regression_map.csv").read_text().count("\n") == 7
+
+
+def _predictions_csv(path):
+    lines = ["episode_index,subject_id,sbp_true,dbp_true,map_true,sbp_pred,dbp_pred,map_pred,waveform_mae,sqi"]
+    lines += [f"{i},s{i % 3},{120 + i},{80 - i},{95 + i},{121 + i},{79 - i},{96 + i},2.0,0.{i}" for i in range(6)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("split", "--train-count", "-1", "--train-out", "{tmp}/a.p2a", "--test-out", "{tmp}/b.p2a"),
+         "train_count must be >= 0, got -1"),
+        (("cv", "--k", "0", "--out", "{tmp}/cv", "--epochs", "1", "--width", "0.03125"), "k must be >= 2 folds, got 0"),
+        (("cv", "--k", "1", "--out", "{tmp}/cv", "--epochs", "1", "--width", "0.03125"), "k must be >= 2 folds, got 1"),
+        (("evaluate", "--sqi-bins", "0", "--out", "{tmp}/r.json"), "bins must be >= 1, got 0"),
+    ],
+    ids=["split-negative-train-count", "cv-k-0", "cv-k-1", "evaluate-sqi-bins-0"],
+)
+def test_out_of_range_arguments_exit_2(tmp_path, synth_store, capsys, argv, message):
+    """Each is rejected by the function that takes it, as a data error naming
+    the argument, and no output is written."""
+    preds = _predictions_csv(tmp_path / "preds.csv")
+    data = {"split": ("--in", synth_store), "cv": ("--data", synth_store), "evaluate": ("--pred", preds)}
+    argv = [arg.format(tmp=tmp_path) for arg in argv] + [str(arg) for arg in data[argv[0]]]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["preds.csv"]

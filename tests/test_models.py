@@ -127,6 +127,21 @@ def test_multires_output_shape():
     assert out.auxiliaries == []
 
 
+@pytest.mark.parametrize("depth", [1, 2, 5])
+@pytest.mark.parametrize(
+    "build, config_class, field",
+    [(build_unet1d, UNet1DConfig, "filters_per_level"), (build_multiresunet1d, MultiResUNet1DConfig, "base_widths")],
+    ids=["unet", "multires"],
+)
+def test_loss_weights_give_one_weight_per_output(build, config_class, field, depth):
+    """The trainer weighs each network's outputs by its config's
+    deep_supervision_weights, final output first."""
+    config = config_class(**{field: (2,) * depth, "input_length": 64})
+    out = build(config).forward(np.zeros((1, 1, 64)), mode="infer")
+    assert len(config.deep_supervision_weights) == 1 + len(out.auxiliaries)
+    assert config.deep_supervision_weights[0] == 1.0
+
+
 def test_wrong_input_shape_rejected():
     net = build_unet1d(UNet1DConfig.scaled(1 / 16, input_length=64))
     with pytest.raises(ShapeError):

@@ -215,26 +215,6 @@ def test_batch_predict_rows_match_single_calls():
         assert row.true_bp == extract_bp(store[i].abp)
 
 
-def test_batch_predict_skips_failures():
-    store = datapipe.synth_generate(3, seed=7)
-    store.records[1].ppg[0] = 1e6  # finite, so the record itself is valid
-    bundle = stub_bundle(approx=NaNRowNetwork())
-    rows, failures = batch_predict(bundle, store)
-    with pytest.raises(tensorops.NumericalError) as exc:
-        predict_waveform(bundle, store[1].ppg)
-    assert failures == [(1, str(exc.value))] and "non-finite" in failures[0][1]
-    assert [r.index for r in rows] == [0, 2]
-    for row in rows:
-        np.testing.assert_array_equal(row.pred_abp, predict_waveform(bundle, store[row.index].ppg))
-
-
-def test_batch_predict_propagates_a_network_exception():
-    store = datapipe.synth_generate(3, seed=7)
-    store.records[1].ppg[0] = 1e6
-    with pytest.raises(ValueError, match="marker episode"):
-        batch_predict(stub_bundle(approx=ExplodingNetwork()), store)
-
-
 def test_batch_predict_skips_a_window_whose_conditioning_overflows():
     bundle = tiny_bundle(seed=3)
     store = datapipe.synth_generate(3, seed=4)
@@ -318,14 +298,21 @@ def two_cores(monkeypatch):
     monkeypatch.setattr(trainer, "usable_cores", lambda: 2)
 
 
-def test_threaded_batch_predict_skips_failures(two_cores):
+@pytest.mark.parametrize("cores", [1, 2], ids=["serial", "threaded"])
+def test_batch_predict_skips_failures(monkeypatch, cores):
+    """Serial: one stack of three. Threaded: the double runs under a paper
+    first-level width (Wide), so each episode is its own stack and the
+    marked one runs on the helper thread."""
+    monkeypatch.setattr(trainer, "usable_cores", lambda: cores)
     store = datapipe.synth_generate(3, seed=7)
-    store.records[1].ppg[0] = 1e6
-    approx = Wide(NaNRowNetwork())
+    store.records[1].ppg[0] = 1e6  # finite, so the record itself is valid
+    approx = Wide(NaNRowNetwork()) if cores == 2 else NaNRowNetwork()
     bundle = stub_bundle(approx=approx)
     alive = threading.active_count()
     rows, failures = batch_predict(bundle, store)
-    assert approx.marked_on_helper == [True] and threading.active_count() == alive
+    if cores == 2:
+        assert approx.marked_on_helper == [True]
+    assert threading.active_count() == alive
     with pytest.raises(tensorops.NumericalError) as exc:
         predict_waveform(bundle, store[1].ppg)
     assert failures == [(1, str(exc.value))] and "non-finite" in failures[0][1]
@@ -334,14 +321,18 @@ def test_threaded_batch_predict_skips_failures(two_cores):
         np.testing.assert_array_equal(row.pred_abp, predict_waveform(bundle, store[row.index].ppg))
 
 
-def test_threaded_batch_predict_propagates_a_network_exception(two_cores):
+@pytest.mark.parametrize("cores", [1, 2], ids=["serial", "threaded"])
+def test_batch_predict_propagates_a_network_exception(monkeypatch, cores):
+    monkeypatch.setattr(trainer, "usable_cores", lambda: cores)
     store = datapipe.synth_generate(3, seed=7)
     store.records[1].ppg[0] = 1e6
-    approx = Wide(ExplodingNetwork())
+    approx = Wide(ExplodingNetwork()) if cores == 2 else ExplodingNetwork()
     alive = threading.active_count()
     with pytest.raises(ValueError, match="^marker episode$"):
         batch_predict(stub_bundle(approx=approx), store)
-    assert approx.marked_on_helper == [True] and threading.active_count() == alive
+    if cores == 2:
+        assert approx.marked_on_helper == [True]
+    assert threading.active_count() == alive
 
 
 def test_threaded_batch_predict_rows_equal_serial(monkeypatch):
@@ -430,6 +421,57 @@ def test_bundle_version_check(tmp_path):
     meta.write_text(meta.read_text().replace('"format_version": 1', '"format_version": 9'))
     with pytest.raises(ValueError):
         load_bundle(tmp_path / "bundle")
+
+
+def test_load_bundle_builds_through_the_models_module(tmp_path, monkeypatch):
+    """The builders are looked up at call time, so a wrapped or patched
+    builder (the benchmark tracer, the CV tests) sees every load."""
+    save_bundle(tiny_bundle(seed=8), tmp_path)
+    built = []
+
+    def counted(name):
+        original = getattr(models, name)
+
+        def build(config, seed):
+            built.append((name, original(config, seed=seed)))
+            return built[-1][1]
+
+        return build
+
+    for name in ("build_unet1d", "build_multiresunet1d"):
+        monkeypatch.setattr(models, name, counted(name))
+    bundle = load_bundle(tmp_path)
+    assert [name for name, _ in built] == ["build_unet1d", "build_multiresunet1d"]
+    assert [network for _, network in built] == [bundle.approx_network, bundle.refine_network]
+
+
+def test_load_bundle_rejects_a_declared_width_before_building(tmp_path):
+    """A first U-Net level of 2^20 channels would size its skeleton's arrays
+    at hundreds of MB; the load reads both checkpoints, finds no entry that
+    wide, and fails with a traced peak within the payload plus 1%. At half
+    width the payload is ~34 MB, so the entries' Python objects stay well
+    inside that 1%."""
+    seeded = [
+        models.build_unet1d(models.UNet1DConfig.scaled(1 / 2), seed=3),
+        models.build_multiresunet1d(models.MultiResUNet1DConfig.scaled(1 / 2), seed=3),
+    ]
+    save_bundle(PipelineBundle(*seeded), tmp_path)
+    payload = sum(arr.nbytes for net in seeded for _, arr in net.checkpoint_entries())
+    del seeded
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    meta["approx"]["filters_per_level"][0] = 1 << 20
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with pytest.raises(ValueError, match=r"meta\.json: 'approx\.filters_per_level' declares width 1048576"):
+            load_bundle(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert payload > 30_000_000
+    assert peak <= 1.01 * payload, peak / payload
 
 
 def test_load_bundle_draws_no_weights(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bpwave import datapipe, models, pipeline, tensorops, trainer
+from bpwave.cli import parse_config_file
 from bpwave.models import MultiResUNet1DConfig, NetworkOutput, UNet1DConfig
 from bpwave.tensorops import AdamConfig, NumericalError, mae_loss, mse_loss
 from bpwave.trainer import (
@@ -19,7 +20,6 @@ from bpwave.trainer import (
     kfold_plan,
     load_checkpoint,
     network_gradient_report,
-    parse_config_file,
     read_history_csv,
     save_checkpoint,
     train_network,
@@ -390,21 +390,21 @@ def test_history_csv_roundtrip(tmp_path, small_store):
 
 def test_kfold_even_split():
     plan = kfold_plan(100, k=10, seed=0)
-    assert [len(val) for _, val in plan.folds] == [10] * 10
+    assert [len(val) for _, val in plan] == [10] * 10
 
 
 def test_kfold_uneven_split():
     plan = kfold_plan(105, k=10, seed=1)
-    sizes = [len(val) for _, val in plan.folds]
+    sizes = [len(val) for _, val in plan]
     assert sorted(sizes) == [10] * 5 + [11] * 5
 
 
 def test_kfold_disjoint_and_exhaustive():
     for n in (17, 53, 100):
         plan = kfold_plan(n, k=5, seed=3)
-        all_val = np.concatenate([val for _, val in plan.folds])
+        all_val = np.concatenate([val for _, val in plan])
         assert sorted(all_val.tolist()) == list(range(n))
-        for train, val in plan.folds:
+        for train, val in plan:
             assert set(train.tolist()).isdisjoint(set(val.tolist()))
             assert sorted(np.concatenate([train, val]).tolist()) == list(range(n))
 
@@ -455,7 +455,7 @@ def test_cross_validate_keeps_only_the_selected_folds_networks(small_store, monk
     )
 
     # the selected fold, trained again alone, as every fold was trained
-    train_idx, val_idx = kfold_plan(len(small_store), k=3, seed=config.seed).folds[selected]
+    train_idx, val_idx = kfold_plan(len(small_store), k=3, seed=config.seed)[selected]
     fold_config = replace(config, seed=config.seed + 1 + selected)
     train, val = small_store.subset(train_idx), small_store.subset(val_idx)
     approx = models.build_unet1d(UNet1DConfig.scaled(1 / 16), seed=fold_config.seed)
