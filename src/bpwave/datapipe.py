@@ -139,6 +139,10 @@ def bin_key(sbp, dbp):
 
 def bin_and_subsample(store, fraction=0.25, cap=2500, seed=0):
     """Per (SBP, DBP) bin, keep round(fraction*n) episodes, at most cap."""
+    if not 0 < fraction <= 1:
+        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
     bins = {}
     for i, rec in enumerate(store):
         bp = extract_bp(rec.abp)

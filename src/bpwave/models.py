@@ -14,6 +14,7 @@ into its shift (BatchNorm1d.infer_inplace); BN and ReLU then run in place
 on the conv's fresh output, a few ulps from the unfused layers per block.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,20 @@ from .tensorops import (
 KERNEL_SIZE = 3  # of every conv+BN+ReLU stage in both networks
 
 
+def _scaled_widths(widths, width):
+    """Each width times the multiplier, rounded, at least 1."""
+    if not (math.isfinite(width) and width > 0):
+        raise ValueError(f"width must be finite and > 0, got {width}")
+    return tuple(max(1, round(w * width)) for w in widths)
+
+
+def _check_input_length(config):
+    if config.input_length < 1:
+        raise ValueError(f"input_length must be >= 1, got {config.input_length}")
+    if config.input_length % (1 << (config.depth - 1)) != 0:
+        raise ValueError(f"input length {config.input_length} not divisible by 2^{config.depth - 1}")
+
+
 @dataclass(frozen=True)
 class UNet1DConfig:
     filters_per_level: tuple = (64, 128, 256, 512, 1024)
@@ -47,7 +62,7 @@ class UNet1DConfig:
     def scaled(cls, width=1.0, input_length=1024):
         base = cls()
         return cls(
-            filters_per_level=tuple(max(1, round(f * width)) for f in base.filters_per_level),
+            filters_per_level=_scaled_widths(base.filters_per_level, width),
             input_length=input_length,
         )
 
@@ -67,10 +82,7 @@ class UNet1DConfig:
     def validate(self):
         if not 1 <= self.depth <= len(self.SUPERVISION_WEIGHTS):
             raise ValueError(f"a U-Net has 1 to {len(self.SUPERVISION_WEIGHTS)} levels, not {self.depth}")
-        if self.input_length % (1 << (self.depth - 1)) != 0:
-            raise ValueError(
-                f"input length {self.input_length} not divisible by 2^{self.depth - 1}"
-            )
+        _check_input_length(self)
         return self
 
 
@@ -86,7 +98,7 @@ class MultiResUNet1DConfig:
     def scaled(cls, width=1.0, input_length=1024):
         base = cls()
         return cls(
-            base_widths=tuple(max(1, round(u * width)) for u in base.base_widths),
+            base_widths=_scaled_widths(base.base_widths, width),
             input_length=input_length,
         )
 
@@ -113,10 +125,7 @@ class MultiResUNet1DConfig:
         return w // 6, w // 3, w // 2
 
     def validate(self):
-        if self.input_length % (1 << (self.depth - 1)) != 0:
-            raise ValueError(
-                f"input length {self.input_length} not divisible by 2^{self.depth - 1}"
-            )
+        _check_input_length(self)
         return self
 
 

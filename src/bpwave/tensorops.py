@@ -9,6 +9,11 @@ keeps nothing; a backward after it, or a second backward after one
 train-mode forward, raises ShapeError.
 """
 
+import io
+import math
+import os
+import struct
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -528,6 +533,43 @@ def gradcheck(forward_fn, blocks, h=1e-3, max_entries_per_block=None, rng=None, 
     return report
 
 
+# --------------------------------------------------------------- helper threads
+
+def usable_cores():
+    """Cores this process may run on: the most threads run_shares is given."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_shares(task, count):
+    """Call task(share, failed) for every share in range(count): share 0 on
+    the calling thread, each other on a helper thread of its own. failed is
+    the list of errors raised so far, for a task to poll between its steps.
+    Every helper is joined before this returns or raises; the first error
+    any share raised is re-raised here."""
+    failed = []
+
+    def run(share):
+        try:
+            task(share, failed)
+        except BaseException as exc:  # re-raised by the calling thread
+            failed.append(exc)
+
+    helpers = []
+    try:
+        for share in range(1, count):
+            helper = threading.Thread(target=run, args=(share,))
+            helper.start()
+            helpers.append(helper)
+        run(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failed:
+        raise failed[0]
+
+
 # ----------------------------------------------------------------- checkpoints
 
 def write_checkpoint(path, entries):
@@ -543,14 +585,108 @@ def write_checkpoint(path, entries):
             container.write_f64_block(fh, arr.ravel())
 
 
+# Payload bytes from which read_checkpoint fills its arrays on usable_cores()
+# threads. Below it, a helper's start and its own file handle cost more
+# than the second core reads: on a 2-core x86-64 host, reloading one U-Net
+# checkpoint took 1.0-1.2x the serial time on two threads at 5.5 and 9.7 MB,
+# and 0.76-0.94x at 21.7 MB (about 0.5 ms of fixed cost per threaded read).
+THREAD_READ_BYTES = 1 << 24
+
+_U32 = struct.Struct("<I")
+
+
+def _scan_checkpoint(fh):
+    """(name, shape, payload offset) of every entry of an open checkpoint.
+
+    Every declared size is checked against the file end, measured once,
+    before anything of that size is read; the payloads are skipped.
+    """
+    end = fh.seek(0, io.SEEK_END)
+    fh.seek(0)
+    container.read_header(fh, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    pos = fh.tell()
+    layout, name = [], None
+
+    def truncated(context):  # formatted only on failure: the scan runs per entry
+        context = context.format(index=len(layout), name=name)
+        return container.TruncatedContainerError(f"file truncated while reading {context}")
+
+    def take(n, context):
+        nonlocal pos
+        raw = fh.read(n) if n <= end - pos else b""
+        if len(raw) != n:
+            raise truncated(context)
+        pos += n
+        return raw
+
+    while pos < end:
+        fh.seek(pos)
+        (n,) = _U32.unpack(take(4, "checkpoint entry {index} name length"))
+        name = take(n, "checkpoint entry {index} name").decode("utf-8")
+        (rank,) = _U32.unpack(take(4, "rank of '{name}'"))
+        shape = struct.unpack(f"<{rank}I", take(4 * rank, "dims of '{name}'"))
+        nbytes = 8 * math.prod(shape)
+        if nbytes > end - pos:
+            raise truncated("payload of '{name}'")
+        layout.append((name, shape, pos))
+        pos += nbytes
+    return layout
+
+
+def _fill(fh, pieces, failed=()):
+    """Read each (name, file offset, byte view) piece into its view. Stops
+    between pieces once failed, the other shares' error list, holds one."""
+    for name, offset, view in pieces:
+        if failed:
+            return
+        fh.seek(offset)
+        while view:
+            got = fh.readinto(view)
+            if not got:
+                raise container.TruncatedContainerError(f"file truncated while reading payload of '{name}'")
+            view = view[got:]
+
+
+def _split_by_bytes(pieces, count):
+    """The pieces as count runs of consecutive payload bytes, equal to within
+    a byte; a piece that straddles the end of a run is cut there."""
+    total = sum(len(view) for _, _, view in pieces)
+    shares = [[] for _ in range(count)]
+    done = 0
+    for name, offset, view in pieces:
+        while view:
+            share = done * count // total
+            cut = min(len(view), -(-(share + 1) * total // count) - done)
+            shares[share].append((name, offset, view[:cut]))
+            offset, view, done = offset + cut, view[cut:], done + cut
+    return shares
+
+
 def read_checkpoint(path):
-    """Read back the (name, array) entries written by write_checkpoint."""
-    entries = []
+    """Read back the (name, array) entries written by write_checkpoint.
+
+    A scan first walks every entry's name, rank and dims, so a declared size
+    past the end of the file fails before any array exists. Then every array
+    is allocated here, on the calling thread, and the payloads are read
+    straight into them: from THREAD_READ_BYTES of payload up split by bytes
+    across usable_cores() threads, each on its own unbuffered handle (raw
+    readinto releases the GIL), below it through the scan's handle.
+    """
     with open(path, "rb") as fh:
-        container.read_header(fh, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
-        while container.bytes_left(fh):
-            name = container.read_string(fh, f"checkpoint entry {len(entries)} name")
-            rank = container.read_u32(fh, f"rank of '{name}'")
-            shape = tuple(container.read_u32(fh, f"dims of '{name}'") for _ in range(rank))
-            entries.append((name, container.read_f64_block(fh, shape, f"payload of '{name}'")))
+        layout = _scan_checkpoint(fh)
+        entries = [(name, np.empty(shape, dtype="<f8")) for name, shape, _ in layout]
+        pieces = [(name, offset, memoryview(values).cast("B"))
+                  for (name, _, offset), (_, values) in zip(layout, entries) if values.size]
+        payload = sum(len(view) for _, _, view in pieces)
+        workers = usable_cores() if payload >= THREAD_READ_BYTES else 1
+        if workers == 1:
+            _fill(fh, pieces)
+    if workers > 1:
+        shares = _split_by_bytes(pieces, workers)
+
+        def fill_share(share, failed):
+            with open(path, "rb", buffering=0) as raw:
+                _fill(raw, shares[share], failed)
+
+        run_shares(fill_share, workers)
     return entries

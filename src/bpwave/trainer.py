@@ -9,14 +9,12 @@ learn in normalized units while losses and histories stay in mmHg.
 """
 
 import csv
-import os
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import models, tensorops
-from .tensorops import Adam, AdamConfig, NumericalError, mae_loss, mse_loss
+from .tensorops import Adam, AdamConfig, NumericalError, mae_loss, mse_loss, usable_cores
 
 
 @dataclass
@@ -118,13 +116,6 @@ PREDICT_STACK = 4
 THREAD_STACK_VALUES = 1 << 15
 
 
-def usable_cores():
-    """Cores this process may run on: the most threads predict_batched uses."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def predict_batched(network, x):
     """Infer-mode forward of a (B, C, L) array in stacks, rows in order.
 
@@ -148,29 +139,14 @@ def predict_batched(network, x):
     starts = range(0, n, size)
     workers = min(workers, len(starts))
     outs = [None] * len(starts)
-    errors = []
 
-    def run_share(first):
-        try:
-            for k in range(first, len(starts), workers):
-                if errors:
-                    return
-                outs[k] = network.forward(x[starts[k] : starts[k] + size], mode="infer").final
-        except BaseException as exc:  # re-raised by the calling thread
-            errors.append(exc)
+    def run_share(first, failed):
+        for k in range(first, len(starts), workers):
+            if failed:
+                return
+            outs[k] = network.forward(x[starts[k] : starts[k] + size], mode="infer").final
 
-    helpers = []
-    try:
-        for first in range(1, workers):
-            helper = threading.Thread(target=run_share, args=(first,))
-            helper.start()
-            helpers.append(helper)
-        run_share(0)
-    finally:
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[0]
+    tensorops.run_shares(run_share, workers)
     return np.concatenate(outs, axis=0)
 
 
@@ -400,14 +376,14 @@ def network_gradient_report(width=1 / 16, input_length=64, seed=0, per_block=32,
     Uses a smooth (MSE-based) objective against random targets so every
     head contributes gradient signal.
     """
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(2, 1, input_length))
     approx = models.build_unet1d(
         models.UNet1DConfig.scaled(width, input_length=input_length), seed=seed
     )
     refine = models.build_multiresunet1d(
         models.MultiResUNet1DConfig.scaled(width, input_length=input_length), seed=seed
     )
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(2, 1, input_length))
     reports = {}
     for name, network in (("approximation", approx), ("refinement", refine)):
         weights = network.config.deep_supervision_weights

@@ -438,14 +438,38 @@ def _predictions_csv(path):
         (("cv", "--k", "0", "--out", "{tmp}/cv", "--epochs", "1", "--width", "0.03125"), "k must be >= 2 folds, got 0"),
         (("cv", "--k", "1", "--out", "{tmp}/cv", "--epochs", "1", "--width", "0.03125"), "k must be >= 2 folds, got 1"),
         (("evaluate", "--sqi-bins", "0", "--out", "{tmp}/r.json"), "bins must be >= 1, got 0"),
+        (("train", "--width", "-1", "--out", "{tmp}/t", "--epochs", "1"), "width must be finite and > 0, got -1.0"),
+        (("train", "--width", "0", "--out", "{tmp}/t", "--epochs", "1"), "width must be finite and > 0, got 0.0"),
+        (("cv", "--width", "0", "--out", "{tmp}/cv", "--epochs", "1"), "width must be finite and > 0, got 0.0"),
+        (("gradcheck", "--width", "-0.5"), "width must be finite and > 0, got -0.5"),
+        (("gradcheck", "--width", "nan"), "width must be finite and > 0, got nan"),
+        (("gradcheck", "--width", "inf"), "width must be finite and > 0, got inf"),
+        (("gradcheck", "--length", "0"), "input_length must be >= 1, got 0"),
+        (("gradcheck", "--length", "-4"), "input_length must be >= 1, got -4"),
+        (("split", "--train-count", "0", "--subsample", "--subsample-fraction", "-1",
+          "--train-out", "{tmp}/a.p2a", "--test-out", "{tmp}/b.p2a"), "fraction must be in (0, 1], got -1.0"),
+        (("split", "--train-count", "0", "--subsample", "--subsample-fraction", "0",
+          "--train-out", "{tmp}/a.p2a", "--test-out", "{tmp}/b.p2a"), "fraction must be in (0, 1], got 0.0"),
+        (("split", "--train-count", "0", "--subsample", "--subsample-fraction", "1.5",
+          "--train-out", "{tmp}/a.p2a", "--test-out", "{tmp}/b.p2a"), "fraction must be in (0, 1], got 1.5"),
+        (("split", "--train-count", "0", "--subsample", "--subsample-cap", "-3",
+          "--train-out", "{tmp}/a.p2a", "--test-out", "{tmp}/b.p2a"), "cap must be >= 1, got -3"),
+        (("split", "--train-count", "0", "--subsample", "--subsample-cap", "0",
+          "--train-out", "{tmp}/a.p2a", "--test-out", "{tmp}/b.p2a"), "cap must be >= 1, got 0"),
     ],
-    ids=["split-negative-train-count", "cv-k-0", "cv-k-1", "evaluate-sqi-bins-0"],
+    ids=["split-negative-train-count", "cv-k-0", "cv-k-1", "evaluate-sqi-bins-0",
+         "train-width-negative", "train-width-0", "cv-width-0", "gradcheck-width-negative",
+         "gradcheck-width-nan", "gradcheck-width-inf", "gradcheck-length-0", "gradcheck-length-negative",
+         "split-subsample-fraction-negative", "split-subsample-fraction-0", "split-subsample-fraction-above-1",
+         "split-subsample-cap-negative", "split-subsample-cap-0"],
 )
+@pytest.mark.filterwarnings("error")
 def test_out_of_range_arguments_exit_2(tmp_path, synth_store, capsys, argv, message):
     """Each is rejected by the function that takes it, as a data error naming
-    the argument, and no output is written."""
+    the argument, with no warning on the way, and no output is written."""
     preds = _predictions_csv(tmp_path / "preds.csv")
-    data = {"split": ("--in", synth_store), "cv": ("--data", synth_store), "evaluate": ("--pred", preds)}
+    data = {"split": ("--in", synth_store), "cv": ("--data", synth_store), "train": ("--data", synth_store),
+            "evaluate": ("--pred", preds), "gradcheck": ()}
     argv = [arg.format(tmp=tmp_path) for arg in argv] + [str(arg) for arg in data[argv[0]]]
     assert run(*argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -73,6 +73,20 @@ def test_subsample_cap_applies():
     assert len(out) == 2500
 
 
+@pytest.mark.parametrize("fraction, cap, message", [
+    (0.0, 2500, r"^fraction must be in \(0, 1\], got 0.0$"),
+    (-0.25, 2500, r"^fraction must be in \(0, 1\], got -0.25$"),
+    (1.01, 2500, r"^fraction must be in \(0, 1\], got 1.01$"),
+    (float("nan"), 2500, r"^fraction must be in \(0, 1\], got nan$"),
+    (0.25, 0, r"^cap must be >= 1, got 0$"),
+])
+def test_subsample_rejects_a_fraction_or_cap_that_keeps_nothing(fraction, cap, message):
+    store = EpisodeStore([flat_record(100.0, f"s{i}") for i in range(4)])
+    with pytest.raises(ValueError, match=message):
+        bin_and_subsample(store, fraction=fraction, cap=cap)
+    assert len(bin_and_subsample(store, fraction=1.0, cap=1)) == 1
+
+
 def test_subsample_deterministic_and_duplicate_free():
     rng = np.random.default_rng(0)
     records = [

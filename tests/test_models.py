@@ -158,6 +158,17 @@ def test_invalid_configs_rejected():
         UNet1DConfig(filters_per_level=(2, 2, 2, 2, 2, 2), input_length=1024).validate()
 
 
+@pytest.mark.parametrize("config", [UNet1DConfig, MultiResUNet1DConfig])
+def test_both_configs_reject_a_bad_width_or_input_length(config):
+    for width in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"^width must be finite and > 0, got {width}$"):
+            config.scaled(width)
+    for length in (0, -8):
+        with pytest.raises(ValueError, match=f"^input_length must be >= 1, got {length}$"):
+            config.scaled(1 / 16, input_length=length).validate()
+    assert config.scaled(1e-9, input_length=16).validate().input_length == 16
+
+
 def test_multires_width_floor_keeps_stages_nonempty():
     cfg = MultiResUNet1DConfig.scaled(1 / 16, input_length=64)
     for level in range(cfg.depth):

@@ -1,5 +1,9 @@
 import io
+import os
 import struct
+import sys
+import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -743,3 +747,103 @@ class ShortReader(io.BytesIO):
 def test_short_read_raises_truncated():
     with pytest.raises(TruncatedContainerError, match="payload"):
         container.read_f64_block(ShortReader(b"\x00" * 16), 2, "payload")
+
+
+# ------------------------------------------- checkpoint payloads on helper threads
+
+def big_entries():
+    """Entries whose payload passes THREAD_READ_BYTES by a few odd sizes, with
+    a 0-d and an empty entry among them, so the byte split cuts inside one."""
+    rng = rng_for(40)
+    half = tensorops.THREAD_READ_BYTES // 16
+    return [
+        ("head.weight", rng.normal(size=(3, 5, 7))),
+        ("scalar", np.array(-2.5)),
+        ("first", rng.normal(size=half + 3)),
+        ("empty", np.zeros((0, 4))),
+        ("second", rng.normal(size=(2, half // 2 + 101))),
+    ]
+
+
+@pytest.fixture
+def big_checkpoint(tmp_path):
+    path = tmp_path / "big.ckpt"
+    entries = big_entries()
+    write_checkpoint(path, entries)
+    assert sum(values.nbytes for _, values in entries) >= tensorops.THREAD_READ_BYTES
+    return path, entries
+
+
+@pytest.mark.parametrize("cores", [1, 2, 5])
+def test_threaded_checkpoint_read_matches_the_written_entries_bitwise(big_checkpoint, monkeypatch, cores):
+    """One core: the scan's handle reads every payload. More: the calling
+    thread and a helper per extra core each read an equal run of payload
+    bytes. Five threads, switching every microsecond, still fill every byte
+    once."""
+    path, entries = big_checkpoint
+    monkeypatch.setattr(tensorops, "usable_cores", lambda: cores)
+    fill, shares = tensorops._fill, []
+
+    def spy(fh, pieces, failed=()):
+        shares.append((threading.current_thread() is threading.main_thread(),
+                       sum(len(view) for _, _, view in pieces)))
+        fill(fh, pieces, failed)
+
+    monkeypatch.setattr(tensorops, "_fill", spy)
+    alive, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        back = read_checkpoint(path)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == alive
+    payload = sum(values.nbytes for _, values in entries)
+    assert sorted(on_main for on_main, _ in shares) == [False] * (cores - 1) + [True]
+    assert sum(size for _, size in shares) == payload
+    assert {size for _, size in shares} <= {payload // cores, -(-payload // cores)}
+    assert [name for name, _ in back] == [name for name, _ in entries]
+    for (_, got), (_, want) in zip(back, entries):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got.dtype == np.float64 and got.flags.owndata and got.flags.writeable
+
+
+def test_threaded_checkpoint_read_allocates_its_payload_and_nothing_else(big_checkpoint, monkeypatch):
+    """numpy reports its array memory to tracemalloc: the two-thread read may
+    trace at most 1% beyond the payload, at its peak and once done."""
+    path, entries = big_checkpoint
+    monkeypatch.setattr(tensorops, "usable_cores", lambda: 2)
+    payload = sum(values.nbytes for _, values in entries)
+    del entries
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        back = read_checkpoint(path)
+        held, peak = (value - start for value in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert sum(values.nbytes for _, values in back) == payload
+    assert peak <= 1.01 * payload, peak / payload
+    assert held <= 1.01 * payload, held / payload
+
+
+def test_threaded_read_of_a_payload_cut_short_raises_truncated(big_checkpoint, monkeypatch):
+    """The file loses its last bytes after the scan has sized every entry:
+    the share that meets the new end raises, every helper is joined and
+    every handle closed before the error reaches the caller."""
+    path, entries = big_checkpoint
+    monkeypatch.setattr(tensorops, "usable_cores", lambda: 2)
+    handles = []
+
+    def opener(file, mode, **kwargs):
+        if kwargs.get("buffering") == 0 and not handles[1:]:
+            os.truncate(file, os.path.getsize(file) - 9)
+        handles.append(open(file, mode, **kwargs))
+        return handles[-1]
+
+    monkeypatch.setattr(tensorops, "open", opener, raising=False)
+    alive = threading.active_count()
+    with pytest.raises(TruncatedContainerError, match=f"payload of '{entries[-1][0]}'"):
+        read_checkpoint(path)
+    assert threading.active_count() == alive
+    assert len(handles) == 3 and all(handle.closed for handle in handles)
