@@ -13,11 +13,13 @@ median and first and third quartiles (statistics.quantiles, inclusive
 method), the same summary of the per-pair ratios change/parent, the pairs in
 which the change was better, and the metric's bound. A drift in host load
 that both sides of a pair share moves the per-side quartiles but not the
-ratios. The host record names the numpy build the runs import and the
-usable-core count bpwave's inference threads use.
+ratios. The host record names the numpy build the runs import, the BLAS
+that numpy was built against and the BLAS thread count perfbench/run.py
+sets, and the usable-core count bpwave's inference threads use.
 """
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -45,6 +47,26 @@ def run_once(checkout, workload, seed, seconds):
     return json.loads(lines[-1])
 
 
+def blas_build():
+    """Name and version of the BLAS numpy was built against, from its build
+    config, or "unknown" where this numpy does not expose it."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its config
+        return "unknown"
+
+
+def blas_threads(checkout):
+    """The BLAS_THREADS that a checkout's perfbench/run.py sets, read from its source."""
+    with open(os.path.join(checkout, "perfbench", "run.py")) as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["BLAS_THREADS"]:
+            return int(ast.literal_eval(node.value))
+    raise SystemExit(f"{checkout}: perfbench/run.py sets no BLAS_THREADS")
+
+
 def summary(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
@@ -62,6 +84,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 for quartiles")
+    threads = {blas_threads(args.parent), blas_threads(args.change)}
+    if len(threads) != 1:
+        parser.error(f"the checkouts run at different BLAS thread counts: {sorted(threads)}")
 
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     record = {
@@ -70,7 +95,7 @@ def main(argv=None):
         "pairs": args.pairs,
         "host": {"cpus": os.cpu_count(), "usable_cores": usable_cores(),
                  "python": platform.python_version(), "numpy": np.__version__,
-                 "machine": platform.machine()},
+                 "blas": blas_build(), "blas_threads": threads.pop(), "machine": platform.machine()},
         "workloads": {},
     }
     for workload in args.workloads:

@@ -62,24 +62,30 @@ def write_string(fh, text):
     fh.write(payload)
 
 
-def bytes_left(fh):
-    """Bytes between the read position and the end of a seekable file."""
+def file_end(fh):
+    """Offset of the end of a seekable file; the read position is kept."""
     here = fh.tell()
     end = fh.seek(0, io.SEEK_END)
     fh.seek(here)
-    return end - here
+    return end
 
 
-def _check_declared(fh, n, context):
-    """A declared size past the end of the file fails before any buffer of
+def _check_declared(fh, n, end, context):
+    """A declared size past end, the file's end, fails before any buffer of
     that size is requested."""
-    if n > bytes_left(fh):
+    if n > end - fh.tell():
         raise TruncatedContainerError(f"file truncated while reading {context}")
 
 
 def read_string(fh, context):
+    return read_string_within(fh, file_end(fh), context)
+
+
+def read_string_within(fh, end, context):
+    """read_string for a caller that measured the file end once (file_end):
+    a reader of many records seeks once, not per record."""
     n = read_u32(fh, f"{context} length")
-    _check_declared(fh, n, context)
+    _check_declared(fh, n, end, context)
     return fh.read(n).decode("utf-8")
 
 
@@ -88,10 +94,15 @@ def write_f64_block(fh, values):
 
 
 def read_f64_block(fh, shape, context):
+    return read_f64_block_within(fh, file_end(fh), shape, context)
+
+
+def read_f64_block_within(fh, end, shape, context):
     """A fresh, writable float64 array of the given shape (an int for 1-D),
-    read from the file straight into its memory: its own, not a view."""
+    read from the file straight into its memory: its own, not a view. end is
+    the file's end, as in read_string_within."""
     shape = (shape,) if isinstance(shape, int) else tuple(shape)
-    _check_declared(fh, 8 * math.prod(shape), context)
+    _check_declared(fh, 8 * math.prod(shape), end, context)
     values = np.empty(shape, dtype="<f8")
     if fh.readinto(values) != values.nbytes:
         raise TruncatedContainerError(f"file truncated while reading {context}")

@@ -204,14 +204,15 @@ def write_store(path, store):
 
 def read_store(path):
     with open(path, "rb") as fh:
+        end = container.file_end(fh)
         container.read_header(fh, STORE_MAGIC, STORE_VERSION)
         count = container.read_u32(fh, "episode count")
-        fs = float(container.read_f64_block(fh, 1, "sampling rate")[0])
+        fs = float(container.read_f64_block_within(fh, end, 1, "sampling rate")[0])
         records = []
         for i in range(count):
-            subject = container.read_string(fh, f"record {i} subject id")
-            ppg = container.read_f64_block(fh, EPISODE_SAMPLES, f"record {i} ppg")
-            abp = container.read_f64_block(fh, EPISODE_SAMPLES, f"record {i} abp")
+            subject = container.read_string_within(fh, end, f"record {i} subject id")
+            ppg = container.read_f64_block_within(fh, end, EPISODE_SAMPLES, f"record {i} ppg")
+            abp = container.read_f64_block_within(fh, end, EPISODE_SAMPLES, f"record {i} abp")
             records.append(EpisodeRecord(ppg, abp, subject))
         if fh.read(1) != b"":
             raise container.ContainerFormatError("trailing bytes after the last record")

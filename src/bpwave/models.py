@@ -12,6 +12,15 @@ In infer mode every conv that a BatchNorm follows, the MultiRes shortcut
 summed into its post-block BN included, leaves its bias for the BN to fold
 into its shift (BatchNorm1d.infer_inplace); BN and ReLU then run in place
 on the conv's fresh output, a few ulps from the unfused layers per block.
+
+In train mode every conv+BN+ReLU stage, and every MultiRes block's post-sum
+BatchNorm and ReLU, keeps only the BatchNorm's x̂ and inv_std (_BNReLU): the
+ReLU runs in place and saves no mask, and no consumer of its output (the
+next stage's conv, a ResPath link's conv and bypass, a transposed conv, an
+auxiliary or the final head) keeps it. The backward rebuilds the output
+from x̂ once, bitwise the forward's, and hands it to each consumer's
+backward; a stage's source, the stage or block its input comes from, is
+who rebuilds that input.
 """
 
 import math
@@ -135,22 +144,94 @@ class NetworkOutput:
     auxiliaries: list = field(default_factory=list)
 
 
-class _ConvBNRelu:
-    def __init__(self, name, in_ch, out_ch, rng):
-        self.conv = Conv1d(f"{name}.conv", in_ch, out_ch, KERNEL_SIZE, rng, init="relu")
-        self.bn = BatchNorm1d(f"{name}.bn", out_ch)
-        self.relu = ReLU()
+def _consumer_mode(mode, source):
+    """The mode a conv runs in on the output of source, a stage or block (None
+    for any other input): a train-mode conv keeps its input for the backward,
+    unless source rebuilds it then. A conv's output is the same in either mode."""
+    return mode if source is None else "infer"
 
-    def forward(self, x, mode):
-        if mode == "train":
-            return self.relu.forward(self.bn.forward(self.conv.forward(x, mode), mode), mode)
-        # infer: BatchNorm, with the conv bias folded in, and ReLU run in place
-        # on the conv's fresh output
-        y = self.conv.forward(x, mode, add_bias=False)
-        return self.relu.infer_inplace(self.bn.infer_inplace(y, self.conv.bias))
+
+def _rebuilt_input(source):
+    """The input to hand a conv's backward: source's output rebuilt, or None
+    for the input the conv kept."""
+    return None if source is None else source.output()
+
+
+class _BNReLU:
+    """A BatchNorm and the ReLU after it: the tail of a conv+BN+ReLU stage and
+    of a MultiRes block.
+
+    A train-mode forward keeps only the BatchNorm's x̂ and inv_std: the ReLU
+    runs in place on the BatchNorm's fresh output and saves no mask, and no
+    consumer of that output keeps it. output() rebuilds it in the backward
+    pass, once, with the forward's own operations (γ·x̂ + β, then max(·, 0)),
+    so it and its mask are bitwise what the forward made, and it is handed to
+    every consumer's backward. backward applies the mask, rebuilding only
+    γ·x̂ + β where no consumer asked for the output, and writes the masked
+    gradient over the rebuilt array.
+    """
+
+    def __init__(self, bn):
+        self.bn = bn
+        self.relu = ReLU()
+        self._out = None
+
+    def forward(self, y, mode, bias):
+        """y is the fresh output of the conv in front, which in infer mode left
+        out bias for the BatchNorm to fold into its shift."""
+        self._out = None
+        if mode != "train":
+            return self.relu.infer_inplace(self.bn.infer_inplace(y, bias))
+        out = self.bn.forward(y, mode)
+        return np.maximum(out, 0.0, out=out)
+
+    def _pre(self):
+        """γ·x̂ + β, in a fresh array, by BatchNorm1d.forward's own operations."""
+        bn = self.bn
+        if bn._x_hat is None:
+            raise ShapeError(f"{bn.name}: no train-mode forward to rebuild the output of")
+        pre = bn.gamma[None, :, None] * bn._x_hat
+        pre += bn.beta[None, :, None]
+        return pre
+
+    def output(self):
+        if self._out is None:
+            pre = self._pre()
+            self._out = np.maximum(pre, 0.0, out=pre)
+        return self._out
 
     def backward(self, grad):
-        return self.conv.backward(self.bn.backward(self.relu.backward(grad)))
+        pre = self._pre() if self._out is None else self._out
+        self._out = None
+        if grad.shape != pre.shape:
+            raise ShapeError(f"{self.bn.name}: relu gradient shape does not match the saved forward")
+        # the mask ReLU.backward applies (max(pre, 0) > 0 exactly where pre > 0),
+        # as 1.0 and 0.0 written over the array, then the masked gradient
+        np.greater(pre, 0.0, out=pre)
+        return self.bn.backward(np.multiply(grad, pre, out=pre))
+
+
+class _ConvBNRelu:
+    """A conv, a BatchNorm and a ReLU. source is the stage or block whose
+    output this stage's input is, if any: it rebuilds the input for the conv's
+    backward, so the conv keeps none."""
+
+    def __init__(self, name, in_ch, out_ch, rng, source=None):
+        self.conv = Conv1d(f"{name}.conv", in_ch, out_ch, KERNEL_SIZE, rng, init="relu")
+        self.bn = BatchNorm1d(f"{name}.bn", out_ch)
+        self.tail = _BNReLU(self.bn)
+        self.source = source
+
+    def forward(self, x, mode):
+        # in infer mode the conv leaves its bias for the BatchNorm to fold in
+        y = self.conv.forward(x, _consumer_mode(mode, self.source), add_bias=mode == "train")
+        return self.tail.forward(y, mode, self.conv.bias)
+
+    def output(self):
+        return self.tail.output()
+
+    def backward(self, grad):
+        return self.conv.backward(self.tail.backward(grad), _rebuilt_input(self.source))
 
     def layers(self):
         return [self.conv, self.bn]
@@ -161,11 +242,14 @@ class _DoubleConv:
 
     def __init__(self, name, in_ch, out_ch, rng):
         self.a = _ConvBNRelu(f"{name}.a", in_ch, out_ch, rng)
-        self.b = _ConvBNRelu(f"{name}.b", out_ch, out_ch, rng)
+        self.b = _ConvBNRelu(f"{name}.b", out_ch, out_ch, rng, source=self.a)
         self.out_channels = out_ch
 
     def forward(self, x, mode):
         return self.b.forward(self.a.forward(x, mode), mode)
+
+    def output(self):
+        return self.b.output()
 
     def backward(self, grad):
         return self.a.backward(self.b.backward(grad))
@@ -199,26 +283,26 @@ class _MultiResBlock:
         self.out_channels = s1 + s2 + s3
         self.splits = (s1, s2, s3)
         self.stage1 = _ConvBNRelu(f"{name}.s1", in_ch, s1, rng)
-        self.stage2 = _ConvBNRelu(f"{name}.s2", s1, s2, rng)
-        self.stage3 = _ConvBNRelu(f"{name}.s3", s2, s3, rng)
+        self.stage2 = _ConvBNRelu(f"{name}.s2", s1, s2, rng, source=self.stage1)
+        self.stage3 = _ConvBNRelu(f"{name}.s3", s2, s3, rng, source=self.stage2)
         self.shortcut = Conv1d(f"{name}.shortcut", in_ch, self.out_channels, 1, rng, init="linear")
         self.post_bn = BatchNorm1d(f"{name}.post_bn", self.out_channels)
-        self.post_relu = ReLU()
+        self.post = _BNReLU(self.post_bn)
 
     def forward(self, x, mode):
         c1 = self.stage1.forward(x, mode)
         c2 = self.stage2.forward(c1, mode)
         c3 = self.stage3.forward(c2, mode)
         merged = concat_channels(c1, concat_channels(c2, c3))
-        if mode == "train":
-            merged += self.shortcut.forward(x, mode)
-            return self.post_relu.forward(self.post_bn.forward(merged, mode), mode)
-        # infer: as in _ConvBNRelu, on the fresh concatenation
-        merged += self.shortcut.forward(x, mode, add_bias=False)
-        return self.post_relu.infer_inplace(self.post_bn.infer_inplace(merged, self.shortcut.bias))
+        # as in _ConvBNRelu, on the fresh concatenation
+        merged += self.shortcut.forward(x, mode, add_bias=mode == "train")
+        return self.post.forward(merged, mode, self.shortcut.bias)
+
+    def output(self):
+        return self.post.output()
 
     def backward(self, grad):
-        g = self.post_bn.backward(self.post_relu.backward(grad))
+        g = self.post.backward(grad)
         g_input = self.shortcut.backward(g)
         g1, rest = split_channels(g, self.splits[0])
         g2, g3 = split_channels(rest, self.splits[1])
@@ -239,27 +323,28 @@ class _ResPath:
     """Skip-connection chain: 3-tap conv+BN+ReLU links, each summed with a
     parallel 1-tap projection of the link input."""
 
-    def __init__(self, name, in_ch, width, length, rng):
+    def __init__(self, name, source, width, length, rng):
+        """source is the encoder block whose output the first link reads."""
         self.links = []
-        ch = in_ch
+        ch = source.out_channels
         for i in range(length):
             self.links.append(
                 (
-                    _ConvBNRelu(f"{name}.link{i}", ch, width, rng),
+                    _ConvBNRelu(f"{name}.link{i}", ch, width, rng, source=source),
                     Conv1d(f"{name}.link{i}.bypass", ch, width, 1, rng, init="linear"),
                 )
             )
-            ch = width
+            ch, source = width, None  # a later link reads a sum, which its convs keep
         self.out_channels = width
 
     def forward(self, x, mode):
         for conv, bypass in self.links:
-            x = conv.forward(x, mode) + bypass.forward(x, mode)
+            x = conv.forward(x, mode) + bypass.forward(x, _consumer_mode(mode, conv.source))
         return x
 
     def backward(self, grad):
         for conv, bypass in reversed(self.links):
-            grad = conv.backward(grad) + bypass.backward(grad)
+            grad = conv.backward(grad) + bypass.backward(grad, _rebuilt_input(conv.source))
         return grad
 
     def layers(self):
@@ -308,7 +393,8 @@ class _UShapedNetwork:
     a bottleneck block; then per level, deepest first, a 2-tap stride-2
     transposed convolution, a channel concat with the skip and a decoder
     block; then a 1-tap linear head. A subclass supplies
-    _block(name, in_ch, level, rng) and _skip(level, channels, rng); a deeply
+    _block(name, in_ch, level, rng) and _skip(level, block, rng), block being
+    the encoder block whose output the skip transforms; a deeply
     supervised one also gets a linear auxiliary head on the tensor entering
     every transposed convolution. Layers are built in a fixed order (encoder blocks with
     their skips, bottleneck, decoder levels deepest first, auxiliary heads
@@ -327,7 +413,9 @@ class _UShapedNetwork:
     layer drops what it saved in a train-mode forward once its backward has
     used it, the forward drops each skip tensor once its decoder level has
     concatenated it, and the backward drops each skip gradient once its
-    encoder level has used it. An infer-mode forward keeps nothing.
+    encoder level has used it. A block's output is kept by none of its
+    consumers: the block rebuilds it in the backward (see _BNReLU). An
+    infer-mode forward keeps nothing.
 
     Each subclass binds _forward and _backward as its own forward and
     backward, so per-network timing (perfbench/bench_trace.py) can wrap
@@ -346,7 +434,7 @@ class _UShapedNetwork:
         for l in range(levels):
             self.enc.append(self._block(f"enc{l}", ch, l, rng))
             ch = self.enc[l].out_channels
-            self.skips.append(self._skip(l, ch, rng))
+            self.skips.append(self._skip(l, self.enc[l], rng))
             self.pools.append(MaxPool1d())
         self.bottleneck = self._block("bottleneck", ch, levels, rng)
         self.ups = [None] * levels
@@ -357,10 +445,12 @@ class _UShapedNetwork:
             self.ups[l] = TransposedConv1d(f"dec{l}.up", ch, width, 2, rng)
             self.dec[l] = self._block(f"dec{l}", 2 * width, l, rng)
             ch = self.dec[l].out_channels
-        # aux head l + 1 reads the tensor entering ups[l]; built deepest first
-        below = self.dec[1:] + [self.bottleneck]
+        # ups[l] and aux head l + 1 read the output of below[l]; the heads are
+        # built deepest first, and the final head reads the output of top
+        self._below = self.dec[1:] + [self.bottleneck]
+        self._top = self.dec[0] if self.dec else self.bottleneck
         self.aux_heads = [
-            Conv1d(f"head.aux{l + 1}", below[l].out_channels, 1, 1, rng, init="linear")
+            Conv1d(f"head.aux{l + 1}", self._below[l].out_channels, 1, 1, rng, init="linear")
             for l in reversed(range(levels))
             if self.deeply_supervised
         ][::-1]
@@ -439,11 +529,12 @@ class _UShapedNetwork:
         h = self.bottleneck.forward(h, mode)
         aux = []
         for l in reversed(range(len(self.ups))):
+            keep = _consumer_mode(mode, self._below[l])
             if self.aux_heads:
-                aux.insert(0, self.calibration.outward(self.aux_heads[l].forward(h, mode)))
-            h = self.ups[l].forward(h, mode)
+                aux.insert(0, self.calibration.outward(self.aux_heads[l].forward(h, keep)))
+            h = self.ups[l].forward(h, keep)
             h = self.dec[l].forward(concat_channels(h, skips.pop()), mode)
-        final = self.calibration.outward(self.final_head.forward(h, mode))
+        final = self.calibration.outward(self.final_head.forward(h, _consumer_mode(mode, self._top)))
         return NetworkOutput(final=final, auxiliaries=aux)
 
     def _backward(self, grad_final, grad_auxiliaries=None):
@@ -451,14 +542,14 @@ class _UShapedNetwork:
         shallowest first (None, or None entries, for heads without a loss)."""
         aux_grads = grad_auxiliaries or [None] * len(self.ups)
         scale = self.calibration.output_scale
-        g = self.final_head.backward(grad_final * scale)
+        g = self.final_head.backward(grad_final * scale, self._top.output())
         skip_grads = []
         for l, (up, dec) in enumerate(zip(self.ups, self.dec)):
             g_up, g_skip = split_channels(dec.backward(g), up.out_channels)
             skip_grads.append(g_skip)
-            g = up.backward(g_up)
+            g = up.backward(g_up, self._below[l].output())
             if aux_grads[l] is not None:
-                g = g + self.aux_heads[l].backward(aux_grads[l] * scale)
+                g = g + self.aux_heads[l].backward(aux_grads[l] * scale, self._below[l].output())
         g_up = g_skip = None  # each skip gradient now lives in skip_grads alone
         g = self.bottleneck.backward(g)
         for l in reversed(range(len(self.enc))):
@@ -484,8 +575,8 @@ class UNet1D(_UShapedNetwork):
     def _block(self, name, in_ch, level, rng):
         return _DoubleConv(name, in_ch, self.config.filters_per_level[level], rng)
 
-    def _skip(self, level, channels, rng):
-        return _Identity(channels)
+    def _skip(self, level, block, rng):
+        return _Identity(block.out_channels)
 
     forward = _UShapedNetwork._forward
     backward = _UShapedNetwork._backward
@@ -501,10 +592,10 @@ class MultiResUNet1D(_UShapedNetwork):
     def _block(self, name, in_ch, level, rng):
         return _MultiResBlock(name, in_ch, self.config, level, rng)
 
-    def _skip(self, level, channels, rng):
+    def _skip(self, level, block, rng):
         cfg = self.config
         width, length = cfg.base_widths[level], cfg.res_path_lengths[level]
-        return _ResPath(f"respath{level}", channels, width, length, rng)
+        return _ResPath(f"respath{level}", block, width, length, rng)
 
     forward = _UShapedNetwork._forward
     backward = _UShapedNetwork._backward

@@ -6,7 +6,10 @@ backward. It holds what its backward pass needs only from a train-mode
 forward to the backward that uses it, and drops it there, so a single layer
 instance supports one forward/backward pair at a time. An infer-mode forward
 keeps nothing; a backward after it, or a second backward after one
-train-mode forward, raises ShapeError.
+train-mode forward, raises ShapeError. The convolutions' output does not
+depend on the mode, so a caller that can rebuild a conv's input runs the
+forward in infer mode and hands the input to backward; the networks do so
+for every ReLU output (models._BNReLU).
 """
 
 import io
@@ -166,8 +169,10 @@ class Conv1d(_StatefulLayer):
         self._x = x if mode == "train" else None
         return out
 
-    def backward(self, grad_out):
-        x = self._x
+    def backward(self, grad_out, x=None):
+        """Input gradient; x is the forward's input, handed back by a caller
+        whose forward kept none, or None for the one a train-mode forward kept."""
+        x = self._x if x is None else x
         if x is None or grad_out.shape != (x.shape[0], self.out_channels, x.shape[2]):
             raise ShapeError(f"{self.name}: gradient shape does not match the saved forward")
         self._x = None
@@ -225,8 +230,9 @@ class TransposedConv1d(_StatefulLayer):
         self._x = x if mode == "train" else None
         return out.reshape(b, o, 2 * length)
 
-    def backward(self, grad_out):
-        x = self._x
+    def backward(self, grad_out, x=None):
+        """Input gradient; x as in Conv1d.backward."""
+        x = self._x if x is None else x
         if x is None or grad_out.shape != (x.shape[0], self.out_channels, 2 * x.shape[2]):
             raise ShapeError(f"{self.name}: gradient shape does not match the saved forward")
         self._x = None
@@ -447,8 +453,9 @@ class Adam:
         for name, param, grad in blocks:
             if not np.all(np.isfinite(grad)):
                 raise NumericalError(f"non-finite gradient in parameter block '{name}'")
-            m = self._m.setdefault(name, np.zeros_like(param))
-            v = self._v.setdefault(name, np.zeros_like(param))
+            if name not in self._m:  # moments are made on a block's first step only
+                self._m[name], self._v[name] = np.zeros_like(param), np.zeros_like(param)
+            m, v = self._m[name], self._v[name]
             m *= cfg.beta1
             m += (1.0 - cfg.beta1) * grad
             v *= cfg.beta2

@@ -1,3 +1,6 @@
+import io
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,6 +218,55 @@ def test_store_truncation_names_record(tmp_path):
     path.write_bytes(raw[: len(raw) - 900])
     with pytest.raises(TruncatedContainerError, match="record 2"):
         read_store(path)
+
+
+class RecordingReader(io.BytesIO):
+    """In-memory file that counts its seeks and records every read size."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.seeks, self.requests = 0, []
+
+    def seek(self, *args):
+        self.seeks += 1
+        return super().seek(*args)
+
+    def read(self, size=-1):
+        self.requests.append(size)
+        return super().read(size)
+
+    def readinto(self, buffer):
+        self.requests.append(memoryview(buffer).nbytes)
+        return super().readinto(buffer)
+
+
+def test_store_read_measures_the_file_end_once(tmp_path, monkeypatch):
+    """Each record's declared sizes are checked against the file end measured
+    once, so reading more records costs no more seeks; a size past the end
+    still fails naming its record, before a read of that size."""
+    raws = {}
+    for n in (1, 12, 3):
+        write_store(tmp_path / f"{n}.p2a", synth_generate(n, seed=4))
+        raws[n] = (tmp_path / f"{n}.p2a").read_bytes()
+
+    def read_back(reader):
+        monkeypatch.setattr(datapipe, "open", lambda path, mode: reader, raising=False)
+        return read_store("s.p2a")
+
+    few, more = RecordingReader(raws[1]), RecordingReader(raws[12])
+    assert read_back(few).equals(synth_generate(1, seed=4))
+    assert read_back(more).equals(synth_generate(12, seed=4))
+    assert few.seeks == more.seeks <= 2
+
+    raw = bytearray(raws[3])
+    name = len(synth_generate(3, seed=4).records[1].subject_id.encode())
+    second = len(raw) - 2 * (4 + name + 2 * 8 * datapipe.EPISODE_SAMPLES)  # record 1's name length
+    assert raw[second : second + 4] == struct.pack("<I", name)
+    raw[second : second + 4] = struct.pack("<I", 2**32 - 1)
+    cut = RecordingReader(bytes(raw))
+    with pytest.raises(TruncatedContainerError, match="record 1 subject id"):
+        read_back(cut)
+    assert max(cut.requests) <= len(raw)
 
 
 @settings(max_examples=25, deadline=None)

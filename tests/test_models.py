@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -348,6 +350,9 @@ def saved_tensors(net):
     seen, found, stack = set(), [], [net]
     while stack:
         obj = stack.pop()
+        if isinstance(obj, (list, tuple)):  # a ResPath's links: a list of (stage, bypass) pairs
+            stack.extend(obj)
+            continue
         if id(obj) in seen or not hasattr(obj, "__dict__"):
             continue
         seen.add(id(obj))
@@ -371,7 +376,10 @@ def test_infer_forward_keeps_nothing(build, config):
     out = net.forward(x, mode="train")
     kept = saved_tensors(net)
     assert {attr for _, attr, _ in kept} == set(SAVED_STATE)
-    assert all(value is not None for _, _, value in kept)
+    # every BatchNorm's x̂ and inv_std and every pool's compare mask, no ReLU
+    # mask, and the conv inputs that no stage rebuilds (see models._BNReLU)
+    assert {attr for _, attr, value in kept if value is not None} == set(SAVED_STATE) - {"_mask"}
+    assert all(value is not None for _, attr, value in kept if attr in ("_x_hat", "_inv_std", "_argmax"))
 
     net.forward(x, mode="infer")
     after = saved_tensors(net)
@@ -449,12 +457,108 @@ def test_train_activations_die_once_used(build, config):
     out = net.forward(np.random.default_rng(3).normal(size=(2, 1, 64)), mode="train")
     assert dead_at_head == [[True] * len(net.skips)]
 
-    saved_refs = [weakref.ref(value) for _, _, value in saved_tensors(net)]
+    saved_refs = [weakref.ref(value) for _, _, value in saved_tensors(net) if value is not None]
     assert len(saved_refs) > len(net.skips)
     net.backward(np.ones_like(out.final), [np.ones_like(a) for a in out.auxiliaries])
     assert sum(ref() is not None for ref in saved_refs) == 0
     # encoder levels run deepest first, each after its skip's backward
     assert dead_at_encoder == [[True] * n for n in range(1, len(net.enc) + 1)]
+
+
+@pytest.mark.parametrize(
+    "build, config",
+    [(build_unet1d, UNet1DConfig), (build_multiresunet1d, MultiResUNet1DConfig)],
+)
+def test_backward_rebuilds_each_stage_output_and_mask_bitwise(build, config, monkeypatch):
+    """A train-mode stage keeps only its BatchNorm's x̂ and inv_std. What the
+    backward rebuilds from them (γ·x̂ + β, and the ReLU output where a consumer
+    asks for it) and the ReLU mask it applies are bitwise what the forward
+    made; each is rebuilt once, the output handed to every consumer, then
+    dropped."""
+    pre, made, pre_again, out_again, upstream, received = {}, {}, {}, {}, {}, {}
+    bn_forward, bn_backward = tensorops.BatchNorm1d.forward, tensorops.BatchNorm1d.backward
+    tail_forward, tail_pre, tail_output, tail_backward = (
+        models._BNReLU.forward, models._BNReLU._pre, models._BNReLU.output, models._BNReLU.backward
+    )
+
+    def bn_forward_recording(self, x, mode="train"):
+        out = bn_forward(self, x, mode)
+        pre[self.name] = out.copy()  # before the ReLU runs over it
+        return out
+
+    def bn_backward_recording(self, grad_out):
+        received[self.name] = grad_out.copy()
+        return bn_backward(self, grad_out)
+
+    def forward_recording(self, y, mode, bias):
+        out = tail_forward(self, y, mode, bias)
+        made[self.bn.name] = (self, out.copy())
+        return out
+
+    def pre_recording(self):
+        again = tail_pre(self)
+        pre_again.setdefault(self.bn.name, []).append(again.copy())
+        return again
+
+    def output_recording(self):
+        out = tail_output(self)
+        out_again.setdefault(self.bn.name, []).append((out, out.copy()))
+        return out
+
+    def backward_recording(self, grad):
+        upstream[self.bn.name] = grad.copy()
+        return tail_backward(self, grad)
+
+    monkeypatch.setattr(tensorops.BatchNorm1d, "forward", bn_forward_recording)
+    monkeypatch.setattr(tensorops.BatchNorm1d, "backward", bn_backward_recording)
+    monkeypatch.setattr(models._BNReLU, "forward", forward_recording)
+    monkeypatch.setattr(models._BNReLU, "_pre", pre_recording)
+    monkeypatch.setattr(models._BNReLU, "output", output_recording)
+    monkeypatch.setattr(models._BNReLU, "backward", backward_recording)
+    net = build(config.scaled(1 / 16, input_length=64), seed=0)
+    rng = np.random.default_rng(3)
+    norms = [layer for layer in net._layers() if isinstance(layer, tensorops.BatchNorm1d)]
+    unsettle(norms, rng)  # γ and β away from 1 and 0, where a wrong affine shows
+    out = net.forward(rng.normal(size=(3, 1, 64)), mode="train")
+    net.backward(rng.normal(size=out.final.shape), [rng.normal(size=a.shape) for a in out.auxiliaries])
+
+    assert len(made) == len(norms)
+    assert set(pre_again) == set(received) == set(made) == set(pre)
+    # every block output has consumers that ask for it, and so does every stage
+    # output read by the next stage's conv
+    assert 0 < len(out_again) < len(made)
+    for name, (tail, want) in made.items():
+        mask = pre[name] > 0.0
+        assert want.tobytes() == np.maximum(pre[name], 0.0).tobytes()
+        assert len(pre_again[name]) == 1 and pre_again[name][0].tobytes() == pre[name].tobytes(), name
+        for again, copy in out_again.get(name, []):
+            assert again is out_again[name][0][0], name
+            assert copy.tobytes() == want.tobytes(), name
+        # the mask applied as ReLU.backward applies it, signed zeros included
+        assert received[name].tobytes() == (upstream[name] * mask).tobytes(), name
+        assert tail._out is None
+
+
+@pytest.mark.parametrize(
+    "build, config, former_mb",
+    [(build_unet1d, UNet1DConfig, 23.7), (build_multiresunet1d, MultiResUNet1DConfig, 30.5)],
+)
+def test_a_train_forward_holds_at_most_0_7_of_what_mask_keeping_stages_held(build, config, former_mb):
+    """former_mb is what a width-1/16, batch-16 train forward held when each
+    stage also kept its ReLU mask and each consumer the ReLU output: x̂ alone
+    now stands for both."""
+    net = build(config.scaled(1 / 16), seed=0)
+    x = np.random.default_rng(0).normal(size=(16, 1, 1024))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = net.forward(x, mode="train")
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert out.final.shape == (16, 1, 1024)
+    assert held <= 0.7 * former_mb * 1e6
 
 
 # -------------------------------------------------------------- calibration
