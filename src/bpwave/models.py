@@ -14,13 +14,9 @@ into its shift (BatchNorm1d.infer_inplace); BN and ReLU then run in place
 on the conv's fresh output, a few ulps from the unfused layers per block.
 
 In train mode every conv+BN+ReLU stage, and every MultiRes block's post-sum
-BatchNorm and ReLU, keeps only the BatchNorm's x̂ and inv_std (_BNReLU): the
-ReLU runs in place and saves no mask, and no consumer of its output (the
-next stage's conv, a ResPath link's conv and bypass, a transposed conv, an
-auxiliary or the final head) keeps it. The backward rebuilds the output
-from x̂ once, bitwise the forward's, and hands it to each consumer's
-backward; a stage's source, the stage or block its input comes from, is
-who rebuilds that input.
+BatchNorm and ReLU, keeps only the BatchNorm's x̂ and inv_std: no ReLU mask,
+and no consumer keeps the ReLU output. The backward rebuilds the output and
+its mask from x̂, bitwise the forward's (_BNReLU).
 """
 
 import math
