@@ -12,7 +12,7 @@ bpwave preprocess --in "$WORK/raw.p2a" --out "$WORK/prep.p2a"
 bpwave split --in "$WORK/prep.p2a" --train-count 48 --seed 7 \
     --train-out "$WORK/train.p2a" --test-out "$WORK/test.p2a"
 bpwave train --data "$WORK/train.p2a" --out "$WORK/bundle" \
-    --width 0.0625 --epochs 60 --batch-size 8 --seed 7 --bn-refresh 200
+    --width 0.0625 --epochs 60 --batch-size 8 --seed 7 --bn-refresh
 bpwave infer --bundle "$WORK/bundle" --data "$WORK/raw.p2a" \
     --out "$WORK/preds.csv" --dump-waveforms "$WORK/waveforms"
 bpwave evaluate --pred "$WORK/preds.csv" --out "$WORK/report.json" \

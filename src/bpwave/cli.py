@@ -95,7 +95,7 @@ def _build_parser():
     )
     add_training_flags(p, "bundle output directory")
     p.add_argument("--val-fraction", type=float, help="held-out fraction (default 0.1)")
-    p.add_argument("--bn-refresh", dest="bn_refresh_passes", type=int, help="post-training stat passes")
+    p.add_argument("--bn-refresh", action="store_true", default=None, help="one-pass BatchNorm statistics refresh")
 
     p = sub.add_parser(
         "cv",
@@ -178,7 +178,10 @@ def _train_settings(args):
         for key, raw in parse_config_file(args.config).items():
             if key not in settings:
                 raise ValueError(f"unknown config key '{key}'")
-            settings[key] = type(settings[key])(raw)
+            kind = type(settings[key])
+            if kind is bool and raw.lower() not in ("true", "false"):
+                raise ValueError(f"config key '{key}' must be true or false, got {raw!r}")
+            settings[key] = raw.lower() == "true" if kind is bool else kind(raw)
     for key in settings:
         if getattr(args, key, None) is not None:
             settings[key] = getattr(args, key)
@@ -218,13 +221,14 @@ def _cmd_split(args):
 
 
 def _split_validation(store, val_fraction, seed):
-    if val_fraction <= 0.0 or len(store) < 4:
+    if not 0.0 <= val_fraction < 1.0:
+        raise ValueError(f"val_fraction must be in [0, 1), got {val_fraction}")
+    if val_fraction == 0.0 or len(store) < 4:
         return store, None
     n_val = max(1, int(round(val_fraction * len(store))))
     if len(store) - n_val < 2:
         return store, None
-    train, val = datapipe.split_train_test(store, len(store) - n_val, seed=seed)
-    return train, val
+    return datapipe.split_train_test(store, len(store) - n_val, seed=seed)
 
 
 def _cmd_train(args):

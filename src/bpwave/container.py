@@ -77,13 +77,9 @@ def _check_declared(fh, n, end, context):
         raise TruncatedContainerError(f"file truncated while reading {context}")
 
 
-def read_string(fh, context):
-    return read_string_within(fh, file_end(fh), context)
-
-
 def read_string_within(fh, end, context):
-    """read_string for a caller that measured the file end once (file_end):
-    a reader of many records seeks once, not per record."""
+    """A u32-length-prefixed UTF-8 string. end is the file's end, measured
+    once (file_end), so a reader of many records seeks once, not per record."""
     n = read_u32(fh, f"{context} length")
     _check_declared(fh, n, end, context)
     return fh.read(n).decode("utf-8")
@@ -91,10 +87,6 @@ def read_string_within(fh, end, context):
 
 def write_f64_block(fh, values):
     fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
-
-
-def read_f64_block(fh, shape, context):
-    return read_f64_block_within(fh, file_end(fh), shape, context)
 
 
 def read_f64_block_within(fh, end, shape, context):

@@ -28,7 +28,6 @@ from .tensorops import (
     BatchNorm1d,
     Conv1d,
     MaxPool1d,
-    ReLU,
     ShapeError,
     TransposedConv1d,
     _StatefulLayer,
@@ -169,7 +168,6 @@ class _BNReLU:
 
     def __init__(self, bn):
         self.bn = bn
-        self.relu = ReLU()
         self._out = None
 
     def forward(self, y, mode, bias):
@@ -177,7 +175,8 @@ class _BNReLU:
         out bias for the BatchNorm to fold into its shift."""
         self._out = None
         if mode != "train":
-            return self.relu.infer_inplace(self.bn.infer_inplace(y, bias))
+            y = self.bn.infer_inplace(y, bias)
+            return np.maximum(y, 0.0, out=y)
         out = self.bn.forward(y, mode)
         return np.maximum(out, 0.0, out=out)
 
@@ -468,6 +467,9 @@ class _UShapedNetwork:
         for up, dec in zip(self.ups, self.dec):
             layers += [up] + dec.layers()
         return layers + self.aux_heads + [self.final_head, self.calibration]
+
+    def batch_norms(self):
+        return [layer for layer in self._layers() if isinstance(layer, BatchNorm1d)]
 
     def param_blocks(self):
         blocks = []

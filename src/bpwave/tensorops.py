@@ -373,11 +373,6 @@ class ReLU:
         # maximum propagates NaN: a non-finite input stays non-finite, not 0
         return np.maximum(x, 0.0)
 
-    def infer_inplace(self, y):
-        """Infer-mode forward written over y, a fresh array the caller owns."""
-        self._mask = None
-        return np.maximum(y, 0.0, out=y)
-
     def backward(self, grad_out):
         mask = self._mask
         if mask is None or grad_out.shape != mask.shape:

@@ -23,17 +23,15 @@ class TrainConfig:
     batch_size: int = 32
     adam: AdamConfig = field(default_factory=AdamConfig)
     seed: int = 0
-    # extra train-mode forwards after training so the momentum-tracked
-    # running statistics converge; 0 keeps the plain recipe
-    bn_refresh_passes: int = 0
+    # after training, set the BatchNorm running statistics from one
+    # train-mode pass (refresh_batchnorm_stats); False keeps the plain recipe
+    bn_refresh: bool = False
 
     def validate(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (batch normalization)")
-        if self.bn_refresh_passes < 0:
-            raise ValueError("bn_refresh_passes must be >= 0")
         return self
 
 
@@ -150,20 +148,25 @@ def predict_batched(network, x):
     return np.concatenate(outs, axis=0)
 
 
-def refresh_batchnorm_stats(network, x, passes, batch_size):
-    """Converge the running statistics with plain train-mode forwards.
-
-    The momentum update leaves a geometric residue of the initial (0, 1)
-    statistics after a short training run; extra forward passes shrink it
-    without touching any learned parameter.
+def refresh_batchnorm_stats(network, x, batch_size):
+    """Set every BatchNorm's running statistics to the equal-weight mean of
+    its batch statistics over one train-mode pass of x in contiguous batches.
+    The k-th batch enters with momentum 1 - 1/k, so the first replaces what
+    training left: "precise BN" (Wu & Johnson 2021), the population statistics
+    of Ioffe & Szegedy 2015, section 3.1. No learned parameter moves. Every
+    layer reads the class momentum again afterwards, also if a forward raises.
     """
-    n = x.shape[0]
-    size = min(batch_size, n)
-    for _ in range(passes):
-        for start in range(0, n, size):
-            xb = x[start : start + size]
-            if xb.shape[0] >= 2:
-                network.forward(xb, mode="train")
+    norms = network.batch_norms()
+    size = min(batch_size, x.shape[0])
+    try:
+        # a trailing single episode is skipped: train-mode BatchNorm needs two
+        for k, start in enumerate(range(0, x.shape[0] - 1, size), start=1):
+            for layer in norms:
+                layer.momentum = 1.0 - 1.0 / k
+            network.forward(x[start : start + size], mode="train")
+    finally:
+        for layer in norms:
+            vars(layer).pop("momentum", None)
 
 
 def _batches(n, batch_size, rng):
@@ -243,8 +246,8 @@ def train_network(network, train_store, val_store, config, which="approx", appro
             best_entries = [(name, arr.copy()) for name, arr in network.checkpoint_entries()]
 
     network.load_state(best_entries)
-    if config.bn_refresh_passes:
-        refresh_batchnorm_stats(network, x_train, config.bn_refresh_passes, config.batch_size)
+    if config.bn_refresh:
+        refresh_batchnorm_stats(network, x_train, config.batch_size)
     # load_state took best_entries' arrays as the live weights; hand back copies
     best_entries = [(name, arr.copy()) for name, arr in network.checkpoint_entries()]
     return TrainResult(

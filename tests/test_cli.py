@@ -347,12 +347,12 @@ def train_settings(tmp_path, config_text, *flags):
 def test_flag_beats_config_file_beats_default(tmp_path):
     config, width, val_fraction = train_settings(
         tmp_path,
-        "epochs = 7\nlearning_rate = 0.01\nbn_refresh_passes = 3\nwidth = 0.5\n",
-        "--epochs", "5", "--bn-refresh", "4", "--val-fraction", "0.2",
+        "epochs = 7\nlearning_rate = 0.01\nbn_refresh = false\nwidth = 0.5\n",
+        "--epochs", "5", "--bn-refresh", "--val-fraction", "0.2",
     )
     # flags win over the file, the file over the defaults; the CLI's seed is 1024
     assert config == trainer.TrainConfig(
-        epochs=5, seed=1024, bn_refresh_passes=4, adam=AdamConfig(learning_rate=0.01)
+        epochs=5, seed=1024, bn_refresh=True, adam=AdamConfig(learning_rate=0.01)
     )
     assert (width, val_fraction) == (0.5, 0.2)
 
@@ -372,6 +372,19 @@ def test_unknown_config_key_exits_2(tmp_path, synth_store, capsys):
     code = run("train", "--data", str(synth_store), "--out", str(tmp_path / "b"), "--config", str(cfg))
     assert code == 2
     assert "unknown config key 'frobnicate'" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
+def test_bn_refresh_is_a_switch_and_parses_strictly(tmp_path, synth_store, capsys):
+    assert train_settings(tmp_path, "bn_refresh = TRUE\n")[0].bn_refresh is True
+    assert train_settings(tmp_path, "bn_refresh = False\n")[0].bn_refresh is False
+    assert train_settings(tmp_path, "")[0].bn_refresh is False
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("bn_refresh = maybe\n")
+    assert run("train", "--data", str(synth_store), "--out", str(tmp_path / "b"), "--config", str(cfg)) == 2
+    assert "error: config key 'bn_refresh' must be true or false, got 'maybe'" in capsys.readouterr().err
+    # the flag takes no value: a count is a usage error
+    assert run("train", "--data", str(synth_store), "--out", str(tmp_path / "b"), "--bn-refresh", "200") == 1
     assert not (tmp_path / "b").exists()
 
 
@@ -456,12 +469,19 @@ def _predictions_csv(path):
           "--train-out", "{tmp}/a.p2a", "--test-out", "{tmp}/b.p2a"), "cap must be >= 1, got -3"),
         (("split", "--train-count", "0", "--subsample", "--subsample-cap", "0",
           "--train-out", "{tmp}/a.p2a", "--test-out", "{tmp}/b.p2a"), "cap must be >= 1, got 0"),
+        (("train", "--val-fraction", "1.5", "--out", "{tmp}/t", "--epochs", "1"),
+         "val_fraction must be in [0, 1), got 1.5"),
+        (("train", "--val-fraction", "-0.5", "--out", "{tmp}/t", "--epochs", "1"),
+         "val_fraction must be in [0, 1), got -0.5"),
+        (("train", "--val-fraction", "nan", "--out", "{tmp}/t", "--epochs", "1"),
+         "val_fraction must be in [0, 1), got nan"),
     ],
     ids=["split-negative-train-count", "cv-k-0", "cv-k-1", "evaluate-sqi-bins-0",
          "train-width-negative", "train-width-0", "cv-width-0", "gradcheck-width-negative",
          "gradcheck-width-nan", "gradcheck-width-inf", "gradcheck-length-0", "gradcheck-length-negative",
          "split-subsample-fraction-negative", "split-subsample-fraction-0", "split-subsample-fraction-above-1",
-         "split-subsample-cap-negative", "split-subsample-cap-0"],
+         "split-subsample-cap-negative", "split-subsample-cap-0",
+         "train-val-fraction-above-1", "train-val-fraction-negative", "train-val-fraction-nan"],
 )
 @pytest.mark.filterwarnings("error")
 def test_out_of_range_arguments_exit_2(tmp_path, synth_store, capsys, argv, message):

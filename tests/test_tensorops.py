@@ -685,14 +685,15 @@ def test_declared_sizes_past_the_end_fail_before_reading():
     too_long_name = struct.pack("<I", 2**32 - 1) + b"abc"
     reader = RecordingReader(too_long_name)
     with pytest.raises(TruncatedContainerError, match="subject id"):
-        container.read_string(reader, "subject id")
+        container.read_string_within(reader, container.file_end(reader), "subject id")
     assert max(reader.requests) <= len(too_long_name)
 
     reader = RecordingReader(b"\x00" * 24)
+    end = container.file_end(reader)
     with pytest.raises(TruncatedContainerError, match="payload"):
-        container.read_f64_block(reader, 2**40, "payload")
+        container.read_f64_block_within(reader, end, 2**40, "payload")
     assert reader.requests == []
-    assert container.read_f64_block(reader, 3, "payload").tolist() == [0.0, 0.0, 0.0]
+    assert container.read_f64_block_within(reader, end, 3, "payload").tolist() == [0.0, 0.0, 0.0]
 
 
 def test_checkpoint_declared_dims_past_the_end_fail_before_reading(monkeypatch):
@@ -730,7 +731,7 @@ def test_checkpoint_reads_entries_up_to_the_end(tmp_path, monkeypatch):
 
 def test_f64_block_is_read_into_a_fresh_writable_array():
     reader = RecordingReader(np.arange(4.0).tobytes())
-    values = container.read_f64_block(reader, 4, "payload")
+    values = container.read_f64_block_within(reader, container.file_end(reader), 4, "payload")
     assert reader.requests == [32]
     assert values.dtype == np.float64 and values.flags.writeable and values.flags.c_contiguous
     assert values.tolist() == [0.0, 1.0, 2.0, 3.0]
@@ -746,7 +747,8 @@ class ShortReader(io.BytesIO):
 
 def test_short_read_raises_truncated():
     with pytest.raises(TruncatedContainerError, match="payload"):
-        container.read_f64_block(ShortReader(b"\x00" * 16), 2, "payload")
+        reader = ShortReader(b"\x00" * 16)
+        container.read_f64_block_within(reader, container.file_end(reader), 2, "payload")
 
 
 # ------------------------------------------- checkpoint payloads on helper threads

@@ -345,7 +345,7 @@ def test_bn_refresh_moves_only_running_statistics(small_store):
     best_entries carry the refreshed statistics."""
     results = {}
     for passes in (0, 2):
-        config = TrainConfig(epochs=2, batch_size=4, seed=3, bn_refresh_passes=passes)
+        config = TrainConfig(epochs=2, batch_size=4, seed=3, bn_refresh=bool(passes))
         net = tiny_unet(seed=3)
         results[passes] = (net, train_network(net, small_store, None, config, which="approx"))
     (plain_net, plain), (fresh_net, fresh) = results[0], results[2]
@@ -366,12 +366,78 @@ def test_bn_refresh_moves_only_running_statistics(small_store):
 
 @pytest.mark.parametrize("passes", [0, 2])
 def test_best_entries_share_no_memory_with_the_live_network(small_store, passes):
-    config = TrainConfig(epochs=2, batch_size=4, seed=5, bn_refresh_passes=passes)
+    config = TrainConfig(epochs=2, batch_size=4, seed=5, bn_refresh=bool(passes))
     net = tiny_unet(seed=5)
     result = train_network(net, small_store, None, config, which="approx")
     live = [arr for _, arr in net.checkpoint_entries()]
     for name, held in result.best_entries:
         assert not any(np.shares_memory(held, arr) for arr in live), name
+
+
+def record_train_inputs(norm):
+    """Wrap one BatchNorm's forward so it keeps a copy of each train-mode input."""
+    inputs = []
+    inner = norm.forward
+
+    def forward(x, mode="train"):
+        if mode == "train":
+            inputs.append(x.copy())
+        return inner(x, mode)
+
+    norm.forward = forward
+    return inputs
+
+
+@pytest.mark.parametrize("which", ["approx", "refine"])
+def test_bn_refresh_sets_the_equal_weight_mean_of_the_batch_statistics(which):
+    """One refresh pass over 10 episodes at batch 4 (batches of 4, 4 and 2)
+    leaves each running mean and variance at the plain mean of that layer's
+    three batch statistics; a second refresh changes no bit, and the
+    momentum reads the class constant again."""
+    store = pipeline.preprocess_store(datapipe.synth_generate(10, seed=21))
+    approx = tiny_unet(seed=6) if which == "refine" else None
+    net = tiny_unet(seed=7) if which == "approx" else tiny_multires(seed=7)
+    inputs = {norm.name: record_train_inputs(norm) for norm in net.batch_norms()}
+    config = TrainConfig(epochs=2, batch_size=4, seed=8, bn_refresh=True)
+    train_network(net, store, None, config, which=which, approx_network=approx)
+    for norm in net.batch_norms():
+        refresh = inputs[norm.name][-3:]
+        assert [x.shape[0] for x in refresh] == [4, 4, 2]
+        np.testing.assert_allclose(
+            norm.running_mean, np.mean([x.mean(axis=(0, 2)) for x in refresh], axis=0), rtol=1e-12)
+        np.testing.assert_allclose(
+            norm.running_var, np.mean([x.var(axis=(0, 2)) for x in refresh], axis=0), rtol=1e-12)
+        assert norm.momentum == 0.99 and "momentum" not in vars(norm)
+
+    x = episodes_to_arrays(store)[0]
+    if approx is not None:
+        x = trainer.predict_batched(approx, x)
+    before = [(n.running_mean.copy(), n.running_var.copy()) for n in net.batch_norms()]
+    trainer.refresh_batchnorm_stats(net, x, config.batch_size)
+    for norm, (mean, var) in zip(net.batch_norms(), before):
+        np.testing.assert_array_equal(norm.running_mean, mean, err_msg=norm.name)
+        np.testing.assert_array_equal(norm.running_var, var, err_msg=norm.name)
+
+
+def test_bn_refresh_restores_the_momentum_after_a_raise(small_store):
+    net = tiny_unet(seed=9)
+    norms = net.batch_norms()
+    target = norms[len(norms) // 2]
+    inner = target.forward
+    seen = []
+
+    def forward(x, mode="train"):
+        seen.append(target.momentum)
+        if len(seen) == 2:
+            raise NumericalError("second batch")
+        return inner(x, mode)
+
+    target.forward = forward
+    with pytest.raises(NumericalError, match="second batch"):
+        trainer.refresh_batchnorm_stats(net, episodes_to_arrays(small_store)[0], 4)
+    assert seen == [0.0, 0.5]
+    for norm in norms:
+        assert norm.momentum == 0.99 and "momentum" not in vars(norm), norm.name
 
 
 def test_history_csv_roundtrip(tmp_path, small_store):
